@@ -1,47 +1,43 @@
-//! Mechanical verification of the wave-pipelining invariants.
-//!
-//! The paper states proofs of correctness for both algorithms but omits
-//! them for brevity (§III, §IV). This module checks the claimed
-//! postconditions on every concrete result instead:
-//!
-//! 1. **Unit-span edges** — every edge from a non-constant component
-//!    spans exactly one level, so each wave advances one clock zone per
-//!    phase and neighbouring waves can never interfere (Fig 4).
-//! 2. **Aligned outputs** — all non-constant primary outputs sit at the
-//!    same base distance, so one result wave leaves the circuit per
-//!    wave interval.
-//! 3. **Fan-out bound** (optional) — no component drives more than `k`
-//!    consumers, the §IV feasibility condition for gain-free
-//!    technologies.
+//! Path balancing's one verifier and one error type. The paper omits
+//! its proofs (§III, §IV); [`check_balance`] checks the postconditions
+//! on every result instead: each non-constant fan-in of `v` arrives
+//! exactly `weight(v)` before `v` (one level, under unit weights, so
+//! neighbouring waves never interfere), all non-constant outputs arrive
+//! together, and optionally no component drives more than `k` consumers.
 
 use std::fmt;
 
 use crate::component::{CompId, ComponentKind};
 use crate::netlist::Netlist;
+use crate::pipeline::{BufferStrategy, FlowContext, Pass, PassError, PassKind};
+use crate::weighted::DelayWeights;
 
-/// A violation of the wave-pipelining invariants.
+/// Why balancing or its verification failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum BalanceError {
-    /// An edge spans more (or fewer) than one level.
+    /// A fan-in does not arrive exactly `span` before its consumer (for
+    /// the balancing kernel: a schedule firing the consumer too early).
     EdgeSpan {
         /// Driving component.
         from: CompId,
         /// Consuming component.
         to: CompId,
-        /// Level of the driver.
+        /// Arrival (level, under unit weights) of the driver.
         from_level: u32,
-        /// Level of the consumer.
+        /// Arrival of the consumer.
         to_level: u32,
+        /// The consumer's delay weight: the span the edge must have.
+        span: u32,
     },
-    /// Two non-constant outputs sit at different base distances.
+    /// Two non-constant outputs arrive at different times.
     OutputMisaligned {
         /// Name of the first output.
         first: String,
-        /// Level of the first output.
+        /// Arrival of the first output.
         first_level: u32,
         /// Name of the offending output.
         other: String,
-        /// Level of the offending output.
+        /// Arrival of the offending output.
         other_level: u32,
     },
     /// A component exceeds the fan-out bound.
@@ -53,6 +49,19 @@ pub enum BalanceError {
         /// The bound that was requested.
         limit: u32,
     },
+    /// A delay gap is no whole number of buffers.
+    IndivisibleGap {
+        /// Driver of the offending edge.
+        from: CompId,
+        /// Consumer of the offending edge (the driver, for an output).
+        to: CompId,
+        /// The residual delay that cannot be filled.
+        gap: u32,
+        /// The buffer weight that failed to divide it.
+        buf_weight: u32,
+    },
+    /// Buffer weight of zero was requested.
+    ZeroBufferWeight,
 }
 
 impl fmt::Display for BalanceError {
@@ -63,10 +72,17 @@ impl fmt::Display for BalanceError {
                 to,
                 from_level,
                 to_level,
-            } => write!(
-                f,
-                "edge {from} (level {from_level}) → {to} (level {to_level}) does not span exactly one level"
-            ),
+                span,
+            } => {
+                let span = match span {
+                    1 => "one level".to_owned(),
+                    phases => format!("{phases} phases"),
+                };
+                write!(
+                    f,
+                    "edge {from} (level {from_level}) → {to} (level {to_level}) does not span exactly {span}"
+                )
+            }
             BalanceError::OutputMisaligned {
                 first,
                 first_level,
@@ -81,6 +97,16 @@ impl fmt::Display for BalanceError {
                 fanout,
                 limit,
             } => write!(f, "component {component} has fan-out {fanout} > limit {limit}"),
+            BalanceError::IndivisibleGap {
+                from,
+                to,
+                gap,
+                buf_weight,
+            } => write!(
+                f,
+                "edge {from} → {to}: delay gap {gap} is not a multiple of the buffer weight {buf_weight}"
+            ),
+            BalanceError::ZeroBufferWeight => write!(f, "buffer weight must be positive"),
         }
     }
 }
@@ -90,213 +116,186 @@ impl std::error::Error for BalanceError {}
 /// Summary of a netlist that passed verification.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BalanceReport {
-    /// Common base distance of all outputs (= pipeline depth `d`).
+    /// Common output arrival (= pipeline depth `d`, under unit weights).
     pub depth: u32,
-    /// Number of waves simultaneously in flight under three-phase
-    /// clocking: `⌈d / 3⌉` (the paper's `N = d/3`).
+    /// Waves in flight under three-phase clocking: `⌈d / 3⌉` (§III).
     pub waves_in_flight: u32,
     /// Largest observed fan-out.
     pub max_fanout: u32,
 }
 
-/// Checks the wave-pipelining invariants; `fanout_limit` additionally
-/// enforces the §IV bound when given.
+/// [`check_balance`] under unit weights against the netlist's ASAP
+/// levels.
 ///
 /// # Errors
 ///
-/// Returns the first [`BalanceError`] found, or `Ok` with a
-/// [`BalanceReport`].
+/// The first [`BalanceError`] found.
 ///
 /// # Examples
 ///
 /// ```
 /// use wavepipe::{insert_buffers, verify_balance, Netlist};
 ///
-/// # fn main() -> Result<(), wavepipe::BalanceError> {
 /// let mut n = Netlist::new("x");
 /// let a = n.add_input("a");
-/// let b = n.add_input("b");
-/// let c = n.add_input("c");
-/// let g1 = n.add_maj([a, b, c]);
-/// let g2 = n.add_maj([g1, a, b]);
-/// n.add_output("f", g2);
+/// let x = n.add_inv(a);
+/// let g = n.add_maj([a, a, x]); // `a` skips a level
+/// n.add_output("f", g);
 /// assert!(verify_balance(&n, None).is_err(), "skewed before balancing");
-///
 /// insert_buffers(&mut n);
-/// let report = verify_balance(&n, None)?;
-/// assert_eq!(report.depth, 2);
-/// # Ok(())
-/// # }
+/// assert_eq!(verify_balance(&n, None).unwrap().depth, 2);
 /// ```
 pub fn verify_balance(
     netlist: &Netlist,
     fanout_limit: Option<u32>,
 ) -> Result<BalanceReport, BalanceError> {
-    verify_balance_prepared(
+    check_balance(
         netlist,
-        fanout_limit,
+        &DelayWeights::UNIT,
         &netlist.levels(),
         &netlist.fanout_counts(),
+        fanout_limit,
     )
 }
 
-/// [`verify_balance`] against already-computed ASAP levels and fan-out
-/// counts, so the pipeline's verify pass reuses the
-/// [`StructuralCaches`](crate::netlist::StructuralCaches) snapshot the
-/// preceding insertion pass already primed.
+/// The one balance verifier: checks each non-constant fan-in's
+/// liveness point against `arrival` (the netlist's arrivals under
+/// `weights`), output alignment and, when `fanout_limit` is given, the
+/// §IV bound. The report's depth is the common output arrival.
 ///
 /// # Errors
 ///
-/// As [`verify_balance`].
-pub fn verify_balance_prepared(
+/// The first [`BalanceError`] found.
+pub fn check_balance(
     netlist: &Netlist,
-    fanout_limit: Option<u32>,
-    levels: &[u32],
+    weights: &DelayWeights,
+    arrival: &[u32],
     fanout_counts: &[u32],
+    fanout_limit: Option<u32>,
 ) -> Result<BalanceReport, BalanceError> {
     let is_const = |id: CompId| netlist.component(id).kind() == ComponentKind::Const;
 
-    // 1. Unit-span edges.
     for id in netlist.ids() {
-        for &f in netlist.component(id).fanins() {
-            if is_const(f) {
-                continue;
-            }
-            let from_level = levels[f.index()];
-            let to_level = levels[id.index()];
-            if to_level != from_level + 1 {
+        let comp = netlist.component(id);
+        let span = weights.of(comp.kind());
+        for &f in comp.fanins() {
+            if !is_const(f) && arrival[f.index()] + span != arrival[id.index()] {
                 return Err(BalanceError::EdgeSpan {
                     from: f,
                     to: id,
-                    from_level,
-                    to_level,
+                    from_level: arrival[f.index()],
+                    to_level: arrival[id.index()],
+                    span,
                 });
             }
         }
     }
 
-    // 2. Aligned outputs.
-    let mut first: Option<(&str, u32)> = None;
-    for p in netlist.outputs() {
-        if is_const(p.driver) {
-            continue;
-        }
-        let level = levels[p.driver.index()];
-        match first {
-            None => first = Some((&p.name, level)),
-            Some((fname, flevel)) if flevel != level => {
-                return Err(BalanceError::OutputMisaligned {
-                    first: fname.to_owned(),
-                    first_level: flevel,
-                    other: p.name.clone(),
-                    other_level: level,
-                });
-            }
-            Some(_) => {}
+    let mut outputs = netlist.outputs().iter().filter(|p| !is_const(p.driver));
+    let depth = outputs
+        .next()
+        .map(|first| (first, arrival[first.driver.index()]));
+    if let Some((first, level)) = depth {
+        if let Some(other) = outputs.find(|p| arrival[p.driver.index()] != level) {
+            return Err(BalanceError::OutputMisaligned {
+                first: first.name.clone(),
+                first_level: level,
+                other: other.name.clone(),
+                other_level: arrival[other.driver.index()],
+            });
         }
     }
 
-    // 3. Fan-out bound.
-    let max_fanout = fanout_counts.iter().copied().max().unwrap_or(0);
     if let Some(limit) = fanout_limit {
         check_fanout_bound(netlist, fanout_counts, limit)?;
     }
-
-    let depth = first.map(|(_, l)| l).unwrap_or(0);
+    let depth = depth.map_or(0, |(_, level)| level);
     Ok(BalanceReport {
         depth,
         waves_in_flight: depth.div_ceil(3),
-        max_fanout,
+        max_fanout: fanout_counts.iter().copied().max().unwrap_or(0),
     })
 }
 
-/// Enforces the §IV fan-out bound against precomputed fan-out counts
-/// (the one shared implementation behind the plain, bound-only and
-/// cost-aware verifiers).
-///
-/// # Errors
-///
-/// Returns [`BalanceError::FanoutExceeded`] for the first component
-/// over the limit.
-pub(crate) fn check_fanout_bound(
+/// Enforces the §IV fan-out bound against precomputed fan-out counts.
+fn check_fanout_bound(
     netlist: &Netlist,
     fanout_counts: &[u32],
     limit: u32,
 ) -> Result<(), BalanceError> {
-    for id in netlist.ids() {
-        if fanout_counts[id.index()] > limit {
-            return Err(BalanceError::FanoutExceeded {
-                component: id,
-                fanout: fanout_counts[id.index()],
-                limit,
-            });
-        }
+    match netlist.ids().find(|id| fanout_counts[id.index()] > limit) {
+        Some(component) => Err(BalanceError::FanoutExceeded {
+            component,
+            fanout: fanout_counts[component.index()],
+            limit,
+        }),
+        None => Ok(()),
     }
-    Ok(())
 }
 
-/// Pipeline pass wrapping [`verify_balance`]: checks structural
-/// well-formedness ([`Netlist::validate`]) and the wave-pipelining
-/// invariants, and records the [`BalanceReport`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// Pipeline pass running [`Netlist::validate`] and [`check_balance`]
+/// under a [`BufferStrategy`]'s weights, reported as `verify`,
+/// `verify(fo≤k)`, `verify(weighted)` or `verify(cost-aware)`.
+/// Unit-delay runs record the [`BalanceReport`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct VerifyBalancePass {
+    /// The strategy whose delay weights the netlist was balanced under.
+    pub strategy: BufferStrategy,
     /// Additionally enforce the §IV fan-out bound when given.
     pub fanout_limit: Option<u32>,
 }
 
-impl crate::pipeline::Pass for VerifyBalancePass {
+impl Pass for VerifyBalancePass {
     fn name(&self) -> String {
-        match self.fanout_limit {
-            Some(limit) => format!("verify(fo≤{limit})"),
-            None => "verify".to_owned(),
+        match (self.strategy, self.fanout_limit) {
+            (BufferStrategy::Weighted(_), _) => "verify(weighted)".to_owned(),
+            (BufferStrategy::CostAware, _) => "verify(cost-aware)".to_owned(),
+            (_, Some(limit)) => format!("verify(fo≤{limit})"),
+            (_, None) => "verify".to_owned(),
         }
     }
 
-    fn kind(&self) -> crate::pipeline::PassKind {
-        crate::pipeline::PassKind::Verify
+    fn kind(&self) -> PassKind {
+        PassKind::Verify
     }
 
-    fn run(
-        &self,
-        ctx: &mut crate::pipeline::FlowContext<'_>,
-    ) -> Result<(), crate::pipeline::PassError> {
-        ctx.netlist()
-            .validate()
-            .map_err(crate::pipeline::PassError::Custom)?;
-        let levels = ctx.levels();
-        let fanout_counts = ctx.fanout_counts();
-        let report =
-            verify_balance_prepared(ctx.netlist(), self.fanout_limit, &levels, &fanout_counts)?;
-        ctx.report = Some(report);
+    fn run(&self, ctx: &mut FlowContext<'_>) -> Result<(), PassError> {
+        ctx.netlist().validate().map_err(PassError::Custom)?;
+        let (weights, arrival) = ctx.schedule(self.strategy)?;
+        let counts = ctx.fanout_counts();
+        let report = check_balance(
+            ctx.netlist(),
+            &weights,
+            &arrival,
+            &counts,
+            self.fanout_limit,
+        )?;
+        if self.strategy.is_unit_delay(&weights) {
+            ctx.report = Some(report);
+        }
         Ok(())
     }
 }
 
-/// Pipeline pass checking only the fan-out bound — the verification the
-/// FOx-only configurations of Fig 8 admit (balance cannot hold without
-/// buffer insertion).
+/// Pipeline pass checking only the fan-out bound (the FOx-only
+/// configurations of Fig 8, which cannot balance).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FanoutBoundPass {
     /// The fan-out bound to enforce.
     pub limit: u32,
 }
 
-impl crate::pipeline::Pass for FanoutBoundPass {
+impl Pass for FanoutBoundPass {
     fn name(&self) -> String {
         format!("check_fanout({})", self.limit)
     }
 
-    fn kind(&self) -> crate::pipeline::PassKind {
-        crate::pipeline::PassKind::Verify
+    fn kind(&self) -> PassKind {
+        PassKind::Verify
     }
 
-    fn run(
-        &self,
-        ctx: &mut crate::pipeline::FlowContext<'_>,
-    ) -> Result<(), crate::pipeline::PassError> {
-        ctx.netlist()
-            .validate()
-            .map_err(crate::pipeline::PassError::Custom)?;
+    fn run(&self, ctx: &mut FlowContext<'_>) -> Result<(), PassError> {
+        ctx.netlist().validate().map_err(PassError::Custom)?;
         let counts = ctx.fanout_counts();
         check_fanout_bound(ctx.netlist(), &counts, self.limit)?;
         Ok(())

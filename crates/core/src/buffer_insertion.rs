@@ -1,43 +1,30 @@
-//! Buffer insertion — Algorithm 1 of the paper (§III).
+//! Buffer insertion — Algorithm 1 of the paper (§III) — as the one
+//! path-balancing kernel, [`balance`], fed a (delay weights, arrival
+//! schedule) pair per strategy by `FlowContext::schedule`. Under unit
+//! weights every edge then spans exactly one level, the static condition
+//! for coherent waves under the three-phase clock of Fig 4.
 //!
-//! Balances every path of the netlist so that (a) all paths between any
-//! two connected components have equal length and (b) all primary
-//! outputs sit at the same base distance. After the pass, **every edge
-//! spans exactly one level**, which is the static condition for coherent
-//! wave propagation under the three-phase clock of Fig 4.
-//!
-//! The implementation follows the paper's greedy: for each driving
-//! component, its fan-out is sorted by the consumers' maximum exclusive
-//! base distance (`getMaxxBD` / `sortFanOut` in Algorithm 1) and a
-//! *single shared chain* of buffers is grown off the driver, with each
-//! consumer tapping the chain at the level just below its own
-//! (`lastBD` in the pseudocode tracks the chain head). Sharing one chain
-//! instead of one chain per edge is what makes the greedy
-//! buffer-minimal for the fixed (ASAP) level assignment, and it never
-//! violates a fan-out bound `k ≥ 2` that the input netlist already
-//! satisfies: a chain tap drives the consumers of one level plus at most
-//! one next-chain buffer, which is at most the driver's original
-//! fan-out.
-//!
-//! Primary outputs are handled in the same sweep by treating each output
-//! as a pseudo-consumer at `max BD(outputs) + 1` (the algorithm's final
-//! padding loop, lines 11–14).
+//! Each driver's uses are sorted by the arrival they require
+//! (`sortFanOut`) and tap one *shared* chain grown off the driver
+//! (`lastBD` is its head), which makes the greedy buffer-minimal for a
+//! fixed schedule and keeps any fan-out bound `k ≥ 2` the input meets.
 
+use crate::balance::BalanceError;
 use crate::component::{CompId, ComponentKind};
 use crate::netlist::Netlist;
+use crate::pipeline::{BufferStrategy, FlowContext, Pass, PassError, PassKind};
+use crate::retiming::LevelSchedule;
+use crate::weighted::{DelayWeights, WeightedInsertion};
 
-/// Statistics returned by [`insert_buffers`].
+/// Statistics returned by [`balance`] and [`insert_buffers`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BufferInsertion {
-    /// Buffers inserted between internal components (first loop of
-    /// Algorithm 1).
+    /// Buffers between internal components (Algorithm 1's first loop).
     pub balancing_buffers: usize,
-    /// Buffers inserted to pad shallow outputs to the deepest output
-    /// (second loop of Algorithm 1).
+    /// Buffers padding outputs to the latest one (its second loop).
     pub padding_buffers: usize,
-    /// Depth of the balanced netlist (= common base distance of all
-    /// outputs).
+    /// Common output arrival afterwards (the depth, under unit weights).
     pub depth: u32,
 }
 
@@ -48,12 +35,8 @@ impl BufferInsertion {
     }
 }
 
-/// Runs Algorithm 1 on `netlist` in place, using its current (ASAP)
-/// levels, and returns insertion statistics.
-///
-/// Constant cells are skipped on both sides: they carry no wave, so
-/// edges from constants need no balancing, and constant-driven outputs
-/// need no padding.
+/// [`balance`] under unit weights against the ASAP levels — the paper's
+/// reference strategy.
 ///
 /// # Examples
 ///
@@ -61,119 +44,123 @@ impl BufferInsertion {
 /// use wavepipe::{insert_buffers, verify_balance, Netlist};
 ///
 /// let mut n = Netlist::new("skewed");
-/// let a = n.add_input("a");
-/// let b = n.add_input("b");
-/// let c = n.add_input("c");
+/// let [a, b, c] = ["a", "b", "c"].map(|name| n.add_input(name));
 /// let g1 = n.add_maj([a, b, c]);
 /// let g2 = n.add_maj([g1, a, b]); // a, b arrive 1 level early
 /// n.add_output("f", g2);
-///
-/// let stats = insert_buffers(&mut n);
-/// assert_eq!(stats.balancing_buffers, 2);
+/// assert_eq!(insert_buffers(&mut n).balancing_buffers, 2);
 /// assert!(verify_balance(&n, None).is_ok());
 /// ```
 pub fn insert_buffers(netlist: &mut Netlist) -> BufferInsertion {
-    insert_buffers_with_levels(netlist, &netlist.levels())
+    let (levels, fanout) = (netlist.levels(), netlist.fanout_edges());
+    balance(netlist, &DelayWeights::UNIT, &levels, &fanout)
+        .expect("ASAP levels are a feasible unit-weight schedule")
 }
 
-/// [`insert_buffers`] with an explicit level assignment.
+/// The balancing kernel: grows shared buffer chains, in steps of
+/// `weights.buf`, so that each non-constant fan-in of `v` arrives at
+/// `arrival(v) − weight(v)` and each non-constant output at the latest
+/// output arrival (constants carry no wave). `fanout` is the
+/// [`Netlist::fanout_edges`] snapshot.
 ///
-/// `levels` must be *feasible*: `levels[v] ≥ levels[u] + 1` for every
-/// edge `u → v` with non-constant `u`, and `levels[input] = 0`. The ASAP
-/// levels from [`Netlist::levels`] are always feasible; the retiming
-/// module produces alternative feasible assignments that can need fewer
-/// buffers.
+/// # Errors
+///
+/// [`BalanceError::ZeroBufferWeight`], [`BalanceError::EdgeSpan`] for an
+/// infeasible `arrival`, or [`BalanceError::IndivisibleGap`] (only when
+/// `weights.buf > 1`); the failed sweep is undone.
 ///
 /// # Panics
 ///
-/// Panics if `levels` is infeasible or shorter than the netlist.
-pub fn insert_buffers_with_levels(netlist: &mut Netlist, levels: &[u32]) -> BufferInsertion {
-    let fanout = netlist.fanout_edges();
-    insert_buffers_prepared(netlist, levels, &fanout)
-}
-
-/// [`insert_buffers_with_levels`] against an already-computed fan-out
-/// edge snapshot, so pipeline passes holding a fresh
-/// [`StructuralCaches`](crate::netlist::StructuralCaches) view don't
-/// recompute it.
-///
-/// # Panics
-///
-/// As [`insert_buffers_with_levels`]; additionally if `fanout` does not
-/// cover every component.
-pub fn insert_buffers_prepared(
+/// If `arrival` or `fanout` does not cover every component.
+pub fn balance(
     netlist: &mut Netlist,
-    levels: &[u32],
+    weights: &DelayWeights,
+    arrival: &[u32],
     fanout: &[Vec<(CompId, usize)>],
-) -> BufferInsertion {
-    assert!(
-        levels.len() >= netlist.len() && fanout.len() >= netlist.len(),
-        "level assignment and fan-out snapshot must cover every component"
-    );
+) -> Result<BufferInsertion, BalanceError> {
+    #[derive(Clone, Copy)]
+    enum Use {
+        Gate { consumer: CompId, slot: usize },
+        Output { position: usize },
+    }
 
-    // The set of drivers to process is inputs ∪ gates, per Algorithm
-    // 1's Union — everything present before mutation starts.
+    if weights.buf == 0 {
+        return Err(BalanceError::ZeroBufferWeight);
+    }
+    // Drivers: everything present before the sweep (Algorithm 1's Union).
     let original_len = netlist.len();
-
-    // Deepest non-constant output level = padding target.
-    let max_output_bd = netlist
-        .outputs()
-        .iter()
-        .filter(|p| netlist.component(p.driver).kind() != ComponentKind::Const)
-        .map(|p| levels[p.driver.index()])
-        .max()
-        .unwrap_or(0);
-
-    // Output uses per driver (positions into the outputs list).
+    assert!(
+        arrival.len() >= original_len && fanout.len() >= original_len,
+        "arrival schedule and fan-out snapshot must cover every component"
+    );
+    let target = netlist.depth_from_levels(arrival);
     let mut output_uses: Vec<Vec<usize>> = vec![Vec::new(); original_len];
-    for (pos, p) in netlist.outputs().iter().enumerate() {
-        output_uses[p.driver.index()].push(pos);
+    for (position, p) in netlist.outputs().iter().enumerate() {
+        output_uses[p.driver.index()].push(position);
     }
 
     let mut stats = BufferInsertion {
-        depth: max_output_bd,
+        depth: target,
         ..BufferInsertion::default()
     };
-
+    let mut uses: Vec<(u32, Use)> = Vec::new();
     for idx in 0..original_len {
         let comp = CompId::from_index(idx);
         if netlist.component(comp).kind() == ComponentKind::Const {
             continue;
         }
+        let from_level = arrival[idx];
+        uses.clear();
+        for &(consumer, slot) in &fanout[idx] {
+            let span = weights.of(netlist.component(consumer).kind());
+            let to_level = arrival[consumer.index()];
+            match to_level.checked_sub(span).filter(|&r| r >= from_level) {
+                Some(required) => uses.push((required, Use::Gate { consumer, slot })),
+                None => {
+                    let err = BalanceError::EdgeSpan {
+                        from: comp,
+                        to: consumer,
+                        from_level,
+                        to_level,
+                        span,
+                    };
+                    return Err(unwind(netlist, original_len, err));
+                }
+            }
+        }
+        uses.extend(
+            output_uses[idx]
+                .iter()
+                .map(|&position| (target, Use::Output { position })),
+        );
+        let indivisible = (weights.buf > 1)
+            .then(|| {
+                uses.iter()
+                    .find(|(required, _)| !(required - from_level).is_multiple_of(weights.buf))
+            })
+            .flatten();
+        if let Some(&(required, u)) = indivisible {
+            let err = BalanceError::IndivisibleGap {
+                from: comp,
+                to: match u {
+                    Use::Gate { consumer, .. } => consumer,
+                    Use::Output { .. } => comp,
+                },
+                gap: required - from_level,
+                buf_weight: weights.buf,
+            };
+            return Err(unwind(netlist, original_len, err));
+        }
 
-        // Gather consumers: (required driver level, Use). Gate consumers
-        // need a driver at their level − 1; output uses need a driver at
-        // the padding target.
-        enum Use {
-            Gate { consumer: CompId, slot: usize },
-            Output { position: usize },
-        }
-        let mut uses: Vec<(u32, Use)> = fanout[idx]
-            .iter()
-            .map(|&(consumer, slot)| (levels[consumer.index()] - 1, Use::Gate { consumer, slot }))
-            .collect();
-        for &position in &output_uses[idx] {
-            uses.push((max_output_bd, Use::Output { position }));
-        }
-        if uses.is_empty() {
-            continue;
-        }
-
-        // Algorithm 1: sortFanOut by max xBD (ascending required level).
+        // Algorithm 1's sortFanOut: ascending required arrival, then one
+        // shared chain whose head arrives at `last`.
         uses.sort_by_key(|&(required, _)| required);
-
-        // Grow one shared chain; `last_bd` is the level of the chain
-        // head (initially the component itself).
         let mut chain_head = comp;
-        let mut last_bd = levels[idx];
-        for (required, u) in uses {
-            assert!(
-                required >= levels[idx],
-                "infeasible level assignment: consumer below its driver"
-            );
-            while last_bd < required {
+        let mut last = from_level;
+        for &(required, u) in &uses {
+            while last < required {
                 chain_head = netlist.add_buf(chain_head);
-                last_bd += 1;
+                last += weights.buf;
                 match u {
                     Use::Gate { .. } => stats.balancing_buffers += 1,
                     Use::Output { .. } => stats.padding_buffers += 1,
@@ -183,37 +170,100 @@ pub fn insert_buffers_prepared(
                 Use::Gate { consumer, slot } => {
                     netlist.component_mut(consumer).fanins_mut()[slot] = chain_head;
                 }
-                Use::Output { position } => {
-                    netlist.set_output_driver(position, chain_head);
-                }
+                Use::Output { position } => netlist.set_output_driver(position, chain_head),
             }
         }
     }
-    stats
+    Ok(stats)
 }
 
-/// Pipeline pass wrapping [`insert_buffers`] (Algorithm 1 against ASAP
-/// levels — the paper's reference strategy).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BufferInsertionPass;
+/// Undoes a partial [`balance`] sweep: rewires every chain tap back to
+/// the chain's root driver and drops the appended buffers.
+fn unwind(netlist: &mut Netlist, original_len: usize, err: BalanceError) -> BalanceError {
+    let root = |netlist: &Netlist, mut id: CompId| {
+        while id.index() >= original_len {
+            id = netlist.component(id).fanins()[0];
+        }
+        id
+    };
+    for idx in 0..original_len {
+        let id = CompId::from_index(idx);
+        for slot in 0..netlist.component(id).fanins().len() {
+            let driver = root(netlist, netlist.component(id).fanins()[slot]);
+            netlist.component_mut(id).fanins_mut()[slot] = driver;
+        }
+    }
+    for position in 0..netlist.outputs().len() {
+        let driver = root(netlist, netlist.outputs()[position].driver);
+        netlist.set_output_driver(position, driver);
+    }
+    netlist.truncate_buffers(original_len);
+    err
+}
 
-impl crate::pipeline::Pass for BufferInsertionPass {
+impl LevelSchedule {
+    /// Exact buffer count [`balance`] inserts under unit weights and the
+    /// feasible `levels`, without mutating: `Σ_u max(0, maxreq(u) −
+    /// levels(u))`, `maxreq(u)` being the deepest level any use needs `u`
+    /// at (`levels(consumer) − 1`, or the output depth).
+    pub fn buffer_cost(netlist: &Netlist, levels: &[u32]) -> u64 {
+        let mut maxreq: Vec<Option<u32>> = vec![None; netlist.len()];
+        let mut require = |driver: CompId, level: u32| {
+            let slot = &mut maxreq[driver.index()];
+            *slot = Some(slot.map_or(level, |m| m.max(level)));
+        };
+        for id in netlist.ids() {
+            for &f in netlist.component(id).fanins() {
+                require(f, levels[id.index()] - 1);
+            }
+        }
+        let depth = netlist.depth_from_levels(levels);
+        for p in netlist.outputs() {
+            require(p.driver, depth);
+        }
+        netlist
+            .ids()
+            .filter(|id| netlist.component(*id).kind() != ComponentKind::Const)
+            .filter_map(|id| maxreq[id.index()].map(|m| m.saturating_sub(levels[id.index()])))
+            .map(u64::from)
+            .sum()
+    }
+}
+
+/// Pipeline pass running [`balance`] under a [`BufferStrategy`],
+/// reported as `insert_buffers(asap|retimed|weighted|cost-aware)`.
+/// Unit-delay runs fill the context's `buffers` slot, weighted ones
+/// `weighted`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct InsertBuffersPass(pub BufferStrategy);
+
+impl Pass for InsertBuffersPass {
     fn name(&self) -> String {
-        "insert_buffers(asap)".to_owned()
+        let label = match self.0 {
+            BufferStrategy::Asap => "asap",
+            BufferStrategy::Retimed => "retimed",
+            BufferStrategy::Weighted(_) => "weighted",
+            BufferStrategy::CostAware => "cost-aware",
+        };
+        format!("insert_buffers({label})")
     }
 
-    fn kind(&self) -> crate::pipeline::PassKind {
-        crate::pipeline::PassKind::BufferInsertion
+    fn kind(&self) -> PassKind {
+        PassKind::BufferInsertion
     }
 
-    fn run(
-        &self,
-        ctx: &mut crate::pipeline::FlowContext<'_>,
-    ) -> Result<(), crate::pipeline::PassError> {
-        let levels = ctx.levels();
+    fn run(&self, ctx: &mut FlowContext<'_>) -> Result<(), PassError> {
+        let (weights, arrival) = ctx.schedule(self.0)?;
         let fanout = ctx.fanout_edges();
-        let stats = insert_buffers_prepared(ctx.netlist_mut(), &levels, &fanout);
-        ctx.buffers = Some(stats);
+        let stats = balance(ctx.netlist_mut(), &weights, &arrival, &fanout)?;
+        if self.0.is_unit_delay(&weights) {
+            ctx.buffers = Some(stats);
+        } else {
+            ctx.weighted = Some(WeightedInsertion {
+                buffers: stats.total(),
+                weighted_depth: stats.depth,
+            });
+        }
         Ok(())
     }
 }
@@ -355,6 +405,44 @@ mod tests {
         assert!(stats.total() > 0);
         assert!(verify_balance(&n, None).is_ok());
         assert_eq!(eval_all(&n, 4), before);
+    }
+
+    #[test]
+    fn infeasible_schedule_is_an_error_and_leaves_the_netlist_untouched() {
+        // g2 reads g1; a schedule placing both at level 2 asks g1 to
+        // arrive before g2 fires at its own level. The inputs' edges
+        // (swept first) are feasible, so the sweep has already grown
+        // chains when it hits the bad edge and must undo them.
+        let mut n = Netlist::new("infeasible");
+        let a = n.add_input("a");
+        let b = n.add_input("b");
+        let c = n.add_input("c");
+        let g1 = n.add_maj([a, b, c]);
+        let g2 = n.add_maj([g1, a, b]);
+        n.add_output("f", g2);
+        let before = crate::io::write_netlist(&n);
+        let fanout = n.fanout_edges();
+        let mut schedule = n.levels();
+        schedule[g1.index()] = 2;
+        schedule[g2.index()] = 2;
+        let err = balance(&mut n, &DelayWeights::UNIT, &schedule, &fanout).unwrap_err();
+        assert_eq!(
+            err,
+            BalanceError::EdgeSpan {
+                from: g1,
+                to: g2,
+                from_level: 2,
+                to_level: 2,
+                span: 1,
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "edge c3 (level 2) → c4 (level 2) does not span exactly one level"
+        );
+        assert_eq!(crate::io::write_netlist(&n), before, "netlist untouched");
+        assert_eq!(n.counts().buf, 0);
+        assert_eq!(insert_buffers(&mut n).balancing_buffers, 2, "still usable");
     }
 
     #[test]

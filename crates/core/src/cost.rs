@@ -95,7 +95,7 @@ pub trait CostModel: Sync + Send {
 }
 
 /// A [`CostModel`] precomputed into flat per-kind arrays — the form the
-/// pipeline threads through its context and `run_grid` fans out over.
+/// pipeline threads through its context and the engine grid fans out over.
 ///
 /// Cheap to clone (one `String` plus a few `f64`s) and `Send + Sync`,
 /// so one table can be shared across the parallel batch/grid drivers.

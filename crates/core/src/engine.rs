@@ -6,9 +6,9 @@
 //! [`FlowSpec`] into an ordering-checked [`FlowPipeline`], resolves its
 //! circuit selection (registry names via a pluggable resolver, inline
 //! netlists via the `mig` text parser), and sweeps the circuit ×
-//! technology grid on the work-pulling parallel scheduler — exactly
-//! like [`FlowPipeline::run_grid`], except every cell first consults a
-//! cache keyed by `(circuit content hash, pipeline content hash,
+//! technology grid on the work-pulling parallel scheduler — the
+//! crate's one grid driver — and every cell first consults a cache
+//! keyed by `(circuit content hash, pipeline content hash,
 //! technology content hash)`. Repeated and *overlapping* sweeps only
 //! recompute changed cells: re-running the same spec is pure cache
 //! hits, editing one technology re-prices only that column, adding a
@@ -302,7 +302,7 @@ pub struct Engine {
     resolver: Option<Box<CircuitResolver>>,
     cache: Mutex<Cache>,
     /// `Some(0)` disables caching entirely (no hashing, no lookups) —
-    /// the mode the thin `run_flow` / `run_grid` wrappers use.
+    /// the mode the thin `run_flow` wrapper uses.
     capacity: Option<usize>,
     /// Persistent tier under the in-memory LRU, when configured.
     disk: Option<DiskCache>,
@@ -401,8 +401,8 @@ impl Engine {
     }
 
     /// An engine that never caches (and never hashes) — every cell
-    /// executes. This is what the legacy `run_flow` / `run_grid`
-    /// wrappers run on, so they stay exactly as cheap as before.
+    /// executes. This is what the legacy `run_flow` wrapper runs on, so
+    /// it stays exactly as cheap as before.
     pub fn uncached() -> Engine {
         Engine {
             capacity: Some(0),
@@ -576,7 +576,7 @@ impl Engine {
         let tally = RunTally::default();
         let cells = self.grid_cells(
             &pipeline,
-            Some(spec.pipeline.content_hash()),
+            spec.pipeline.content_hash(),
             &graphs,
             &spec.technologies,
             Some(&tally),
@@ -621,7 +621,7 @@ impl Engine {
         let built = pipeline.build()?;
         Ok(self.grid_cells(
             &built,
-            Some(pipeline.content_hash()),
+            pipeline.content_hash(),
             graphs,
             models,
             None,
@@ -648,18 +648,18 @@ impl Engine {
     }
 
     /// Grid execution over an already-built pipeline. `pipe_hash` is
-    /// the pipeline's stable identity; without one (or with caching
-    /// disabled) every cell executes.
-    pub(crate) fn grid_cells(
+    /// the pipeline's stable identity; with caching disabled every cell
+    /// executes.
+    fn grid_cells(
         &self,
         pipeline: &FlowPipeline,
-        pipe_hash: Option<u64>,
+        pipe_hash: u64,
         graphs: &[&Mig],
         models: &[CostTable],
         tally: Option<&RunTally>,
         sink: &(dyn Fn(&EngineCell) + Sync),
     ) -> Vec<EngineCell> {
-        let caching = self.caching_enabled() && pipe_hash.is_some();
+        let caching = self.caching_enabled();
         // One content hash per circuit, computed once per sweep — a
         // direct arena walk, no intermediate serialization.
         let circuit_hashes: Vec<u64> = if caching {
@@ -683,7 +683,7 @@ impl Engine {
                 let key = caching.then(|| CacheKey {
                     scope: Scope::Cell,
                     circuit: circuit_hashes[circuit],
-                    pipeline: pipe_hash.expect("caching implies a pipeline hash"),
+                    pipeline: pipe_hash,
                     technology: technology.map_or(COST_BLIND, |m| tech_hashes[m]),
                 });
                 if let Some(run) = key.and_then(|key| self.lookup_tallied(&key, tally)) {

@@ -4,7 +4,7 @@
 //! into one [`FlowError`] hierarchy: spec validation
 //! ([`crate::SpecError`]), pipeline assembly
 //! ([`crate::PipelineError`]) and pass execution
-//! ([`crate::PassError`], which itself absorbs balance, weighted and
+//! ([`crate::PassError`], which itself absorbs balancing and
 //! structural [`crate::NetlistError`] failures). Every layer implements
 //! `std::error::Error + Display` with `source()` chaining, so no user
 //! input — malformed specs, unknown benchmarks, ill-ordered pass lists,
@@ -84,12 +84,6 @@ impl From<PassError> for FlowError {
 impl From<crate::balance::BalanceError> for FlowError {
     fn from(e: crate::balance::BalanceError) -> FlowError {
         FlowError::Pass(PassError::Balance(e))
-    }
-}
-
-impl From<crate::weighted::WeightedBalanceError> for FlowError {
-    fn from(e: crate::weighted::WeightedBalanceError) -> FlowError {
-        FlowError::Pass(PassError::Weighted(e))
     }
 }
 

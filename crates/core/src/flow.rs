@@ -11,8 +11,9 @@
 //! compatibility wrapper: it assembles the default
 //! [`crate::FlowPipeline`] for the given [`FlowConfig`] and converts
 //! the instrumented [`crate::PipelineRun`] back into the legacy
-//! [`FlowResult`] shape. [`run_flow_batch`] evaluates whole suites in
-//! parallel.
+//! [`FlowResult`] shape. Whole suites run through the engine's grid
+//! driver, [`crate::Engine::run_pipeline_grid`] with
+//! [`crate::PipelineSpec::for_config`].
 
 use mig::Mig;
 
@@ -132,57 +133,6 @@ pub fn run_flow(graph: &Mig, config: FlowConfig) -> Result<FlowResult, BalanceEr
             other => unreachable!("config specs always validate: {other}"),
         });
     into_legacy(outcome)
-}
-
-/// Runs the configured flow over many graphs concurrently (one task per
-/// graph, scheduled across all cores by the pipeline's parallel batch
-/// driver), preserving input order.
-///
-/// Each graph gets its own `Result`, so one failing circuit does not
-/// poison a suite run.
-///
-/// # Examples
-///
-/// ```
-/// use mig::Mig;
-/// use wavepipe::{run_flow_batch, FlowConfig};
-///
-/// let graphs: Vec<Mig> = (0..4)
-///     .map(|seed| {
-///         mig::random_mig(mig::RandomMigConfig {
-///             inputs: 6,
-///             outputs: 3,
-///             gates: 60,
-///             depth: 6,
-///             seed,
-///         })
-///     })
-///     .collect();
-/// let refs: Vec<&Mig> = graphs.iter().collect();
-/// let results = run_flow_batch(&refs, FlowConfig::default());
-/// assert_eq!(results.len(), 4);
-/// assert!(results.iter().all(|r| r.is_ok()));
-/// ```
-pub fn run_flow_batch(
-    graphs: &[&Mig],
-    config: FlowConfig,
-) -> Vec<Result<FlowResult, BalanceError>> {
-    // Thin wrapper over an uncached engine's cost-blind grid (one cell
-    // per graph on the work-pulling scheduler), bit-identical to the
-    // old per-graph batch driver.
-    let engine = crate::engine::Engine::uncached();
-    let cells = engine
-        .run_pipeline_grid(&crate::spec::PipelineSpec::for_config(config), graphs, &[])
-        .unwrap_or_else(|e| unreachable!("config specs always validate: {e}"));
-    drop(engine);
-    cells
-        .into_iter()
-        .map(|cell| {
-            into_legacy(cell.outcome.map(|run| {
-                std::sync::Arc::try_unwrap(run).unwrap_or_else(|shared| (*shared).clone())
-            }))
-        })
-        .collect()
 }
 
 /// Converts a pipeline outcome back into the legacy `run_flow` shape.

@@ -22,13 +22,15 @@
 //!    deep consumers absorb the FOG latency ("delayed nodes").
 //! 3. **insert_buffers** ([`insert_buffers`], Algorithm 1, §III) —
 //!    equalizes every input→output path with shared buffer chains, then
-//!    pads all outputs to a common depth. Swap in
-//!    [`BufferStrategy::Retimed`] (fewer buffers, same depth) or
-//!    [`BufferStrategy::Weighted`] (per-technology delays) with a
-//!    one-line pipeline edit.
-//! 4. **verify** ([`verify_balance`]) — checks the invariants
-//!    mechanically; [`WaveSimulator`] demonstrates coherent streaming
-//!    dynamically (bit-parallel: 64 independent streams per run).
+//!    pads all outputs to a common depth. Every [`BufferStrategy`] runs
+//!    the one kernel [`balance`] on a (delay weights, arrival schedule)
+//!    pair, so swapping in [`BufferStrategy::Retimed`] (fewer buffers,
+//!    same depth) or [`BufferStrategy::Weighted`] (per-technology
+//!    delays) is a one-line pipeline edit.
+//! 4. **verify** ([`verify_balance`], the unit case of the one verifier
+//!    [`check_balance`]) — checks the invariants mechanically;
+//!    [`WaveSimulator`] demonstrates coherent streaming dynamically
+//!    (bit-parallel: 64 independent streams per run).
 //!
 //! Functional correctness is checked by the bit-parallel
 //! **differential-verification subsystem** ([`verify`] /
@@ -60,10 +62,12 @@
 //! model everything runs cost-blind and bit-identical to the paper's
 //! reference flow.
 //!
-//! [`FlowPipeline::run_grid`] evaluates the full circuit × technology
-//! grid — every `(graph, cost model)` cell one task on the work-pulling
-//! parallel scheduler — and [`run_config_grid`] sweeps the other axis
-//! (pipeline configuration × circuit, Fig 8's ladder).
+//! [`Engine::run_pipeline_grid`] is the one grid driver: it evaluates
+//! the full circuit × technology grid — every `(graph, cost model)`
+//! cell one task on the work-pulling parallel scheduler, each cell
+//! cached by content hash. Sweeping the other axis (pipeline
+//! configuration × circuit, Fig 8's ladder) is one grid call per
+//! [`PipelineSpec`].
 //!
 //! ```
 //! use mig::Mig;
@@ -92,12 +96,11 @@
 //! # }
 //! ```
 //!
-//! ## Compatibility wrapper and batch driver
+//! ## Compatibility wrapper
 //!
 //! [`run_flow`] assembles the default pipeline for a [`FlowConfig`] and
-//! returns the classic [`FlowResult`]; [`run_flow_batch`] (and
-//! [`FlowPipeline::run_batch`]) evaluate many graphs concurrently
-//! across all cores:
+//! returns the classic [`FlowResult`] (many graphs at once go through
+//! [`Engine::run_pipeline_grid`] with an empty model list):
 //!
 //! ```
 //! use mig::Mig;
@@ -166,13 +169,9 @@ pub use mig::{EquivalencePolicy, PatternBlock, SweepConfig, WordFunction, DEFAUL
 
 pub use arena::EvalArena;
 pub use balance::{
-    verify_balance, verify_balance_prepared, BalanceError, BalanceReport, FanoutBoundPass,
-    VerifyBalancePass,
+    check_balance, verify_balance, BalanceError, BalanceReport, FanoutBoundPass, VerifyBalancePass,
 };
-pub use buffer_insertion::{
-    insert_buffers, insert_buffers_prepared, insert_buffers_with_levels, BufferInsertion,
-    BufferInsertionPass,
-};
+pub use buffer_insertion::{balance, insert_buffers, BufferInsertion, InsertBuffersPass};
 pub use component::{CompId, Component, ComponentKind};
 pub use cost::{CostModel, CostTable, PricedCost, PricedDelta};
 pub use engine::{CircuitResolver, Engine, EngineCell, EngineRun, EngineStats, DEFAULT_CACHE_DIR};
@@ -181,7 +180,7 @@ pub use fanout_restriction::{
     restrict_fanout, restrict_fanout_prepared, CostAwareFanoutPass, FanoutRestriction,
     FanoutRestrictionPass,
 };
-pub use flow::{run_flow, run_flow_batch, FlowConfig, FlowResult};
+pub use flow::{run_flow, FlowConfig, FlowResult};
 pub use from_mig::{netlist_from_mig, netlist_from_mig_min_inv, MapPass};
 pub use incremental::{EngineEdit, IncrementalError, IncrementalOutcome, IncrementalSession};
 pub use lint::{
@@ -191,15 +190,11 @@ pub use lint::{
 pub use netlist::{FanoutEdges, KindCounts, Netlist, NetlistError, Port, StructuralCaches};
 pub use optimize::{OptimizeCostAwarePass, OptimizeDepthPass, OptimizeSizePass};
 pub use pipeline::{
-    run_config_grid, BufferStrategy, FlowContext, FlowPipeline, FlowPipelineBuilder, GridCell,
-    Pass, PassError, PassKind, PassStats, PipelineError, PipelineRun,
+    BufferStrategy, FlowContext, FlowPipeline, FlowPipelineBuilder, Pass, PassError, PassKind,
+    PassStats, PipelineError, PipelineRun,
 };
-pub use retiming::{insert_buffers_retimed, schedule_levels, LevelSchedule, RetimedInsertionPass};
+pub use retiming::{schedule_levels, LevelSchedule};
 pub use spec::{CacheSpec, CircuitSpec, FlowSpec, PassSpec, PipelineSpec, SpecError, SynthSpec};
 pub use verify::{differential, NetlistFunction};
 pub use wavesim::{WaveRun, WaveSimulator, WaveWideRun, WaveWordRun};
-pub use weighted::{
-    insert_buffers_weighted, verify_weighted_balance, weighted_arrivals, CostAwareInsertionPass,
-    CostAwareVerifyPass, DelayWeights, VerifyWeightedPass, WeightedBalanceError, WeightedInsertion,
-    WeightedInsertionPass,
-};
+pub use weighted::{weighted_arrivals, DelayWeights, WeightedInsertion};

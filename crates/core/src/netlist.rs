@@ -6,6 +6,7 @@ use std::sync::Arc;
 
 use crate::arena::EvalArena;
 use crate::component::{CompId, Component, ComponentKind};
+use crate::weighted::DelayWeights;
 
 thread_local! {
     /// Per-thread evaluation scratch behind [`Netlist::eval_words`] /
@@ -430,28 +431,46 @@ impl Netlist {
     ///
     /// Indexed by `CompId::index()`.
     pub fn levels(&self) -> Vec<u32> {
-        self.levels_from_order(&self.topo_order())
+        self.levels_from_order(&self.topo_order(), &DelayWeights::UNIT)
     }
 
-    /// [`Netlist::levels`] against an already-computed topological
-    /// order, so callers holding one (see [`StructuralCaches`]) skip
-    /// the traversal.
-    pub fn levels_from_order(&self, order: &[CompId]) -> Vec<u32> {
-        let mut levels = vec![0u32; self.components.len()];
+    /// Levels against an already-computed topological order (see
+    /// [`StructuralCaches`]) under per-kind delay `weights`: inputs and
+    /// constants sit at 0, every other component `weight(kind)` after
+    /// its latest **non-constant** fan-in. Under [`DelayWeights::UNIT`]
+    /// these are [`Netlist::levels`]; under other weights, arrival
+    /// times. This is the one arrival computation behind every
+    /// balancing schedule.
+    pub fn levels_from_order(&self, order: &[CompId], weights: &DelayWeights) -> Vec<u32> {
+        // Unit weights get their own instance: the hot ASAP case then
+        // adds a constant instead of looking each kind's weight up.
+        if *weights == DelayWeights::UNIT {
+            self.arrivals(order, |_| 1)
+        } else {
+            self.arrivals(order, |kind| weights.of(kind))
+        }
+    }
+
+    // Inlined into both instances, so the unit one compiles to the
+    // same tight loop a unit-only DP would.
+    #[inline(always)]
+    fn arrivals(&self, order: &[CompId], weight: impl Fn(ComponentKind) -> u32) -> Vec<u32> {
+        let mut arrival = vec![0u32; self.components.len()];
         for &id in order {
             let comp = &self.components[id.index()];
             if comp.fanins().is_empty() {
                 continue;
             }
-            levels[id.index()] = 1 + comp
-                .fanins()
-                .iter()
-                .filter(|f| !matches!(self.components[f.index()].kind(), ComponentKind::Const))
-                .map(|f| levels[f.index()])
-                .max()
-                .unwrap_or(0);
+            arrival[id.index()] = weight(comp.kind())
+                + comp
+                    .fanins()
+                    .iter()
+                    .filter(|f| !matches!(self.components[f.index()].kind(), ComponentKind::Const))
+                    .map(|f| arrival[f.index()])
+                    .max()
+                    .unwrap_or(0);
         }
-        levels
+        arrival
     }
 
     /// Netlist depth: maximum level over non-constant primary outputs.
@@ -527,6 +546,16 @@ impl Netlist {
         }
         let inputs = self.inputs.iter().map(|id| counts[id.index()]).collect();
         (internal, inputs)
+    }
+
+    /// Drops the buffers appended from index `len` on — the undo step of
+    /// a failed balancing sweep, which appends nothing else.
+    pub(crate) fn truncate_buffers(&mut self, len: usize) {
+        debug_assert!(self.components[len..]
+            .iter()
+            .all(|c| c.kind() == ComponentKind::Buf));
+        self.counts.buf -= self.components.len() - len;
+        self.components.truncate(len);
     }
 
     /// Appends a region netlist onto this one for cone splicing: input
@@ -967,7 +996,9 @@ impl StructuralCaches {
     pub fn try_levels(&mut self, netlist: &Netlist) -> Result<Arc<Vec<u32>>, NetlistError> {
         if self.levels.is_none() {
             let order = self.try_topo_order(netlist)?;
-            self.levels = Some(Arc::new(netlist.levels_from_order(&order)));
+            self.levels = Some(Arc::new(
+                netlist.levels_from_order(&order, &DelayWeights::UNIT),
+            ));
         }
         Ok(self.levels.as_ref().expect("just filled").clone())
     }

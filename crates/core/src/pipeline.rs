@@ -6,7 +6,10 @@
 //! flow configuration is *data*: an ordered list of passes assembled by
 //! [`FlowPipelineBuilder`]. New scenarios (retimed or weighted
 //! insertion, FOG-k sweeps, verification-only runs) become one-line
-//! pipeline edits instead of hand-rolled drivers.
+//! pipeline edits instead of hand-rolled drivers. Insertion strategies
+//! differ only in the (delay weights, arrival schedule) pair
+//! `FlowContext::schedule` resolves for the one balancing kernel,
+//! [`crate::balance`].
 //!
 //! Every pass execution is instrumented: the pipeline records wall
 //! time, component-count delta and depth change per pass in a
@@ -18,15 +21,17 @@
 //! time, returning a [`PipelineError`] instead of producing a pipeline
 //! that would compute garbage.
 //!
+//! A pipeline runs one graph at a time ([`FlowPipeline::run`]); sweeps
+//! over many graphs and technologies go through the one grid driver,
+//! [`crate::Engine::run_pipeline_grid`], which schedules every cell on
+//! the work-pulling parallel scheduler and caches results.
 //! [`crate::run_flow`] remains as a thin compatibility wrapper that
-//! assembles the default pipeline for a [`crate::FlowConfig`], and
-//! [`crate::run_flow_batch`] evaluates many graphs concurrently.
+//! assembles the default pipeline for a [`crate::FlowConfig`].
 
 use std::fmt;
 use std::time::Instant;
 
 use mig::Mig;
-use rayon::prelude::*;
 
 use std::sync::Arc;
 
@@ -37,15 +42,13 @@ use crate::cost::{CostModel, CostTable, PricedDelta};
 use crate::fanout_restriction::FanoutRestriction;
 use crate::flow::FlowResult;
 use crate::netlist::{FanoutEdges, KindCounts, Netlist, StructuralCaches};
-use crate::weighted::{DelayWeights, WeightedBalanceError, WeightedInsertion};
+use crate::weighted::{DelayWeights, WeightedInsertion};
 
 /// Why a pass (and therefore a pipeline run) failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PassError {
-    /// Unit-delay balance verification failed.
+    /// Path balancing or its verification failed.
     Balance(BalanceError),
-    /// Weighted-delay balancing or verification failed.
-    Weighted(WeightedBalanceError),
     /// A pass left the netlist structurally broken (e.g. a custom pass
     /// wired a combinational cycle) — caught at the pass boundary.
     Netlist(crate::netlist::NetlistError),
@@ -67,7 +70,6 @@ impl fmt::Display for PassError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PassError::Balance(e) => write!(f, "{e}"),
-            PassError::Weighted(e) => write!(f, "{e}"),
             PassError::Netlist(e) => write!(f, "{e}"),
             PassError::Equivalence(cex) => write!(f, "equivalence gate: {cex}"),
             PassError::Lint(failure) => write!(f, "{failure}"),
@@ -80,7 +82,6 @@ impl std::error::Error for PassError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             PassError::Balance(e) => Some(e),
-            PassError::Weighted(e) => Some(e),
             PassError::Netlist(e) => Some(e),
             PassError::Equivalence(_) | PassError::Lint(_) | PassError::Custom(_) => None,
         }
@@ -90,12 +91,6 @@ impl std::error::Error for PassError {
 impl From<BalanceError> for PassError {
     fn from(e: BalanceError) -> PassError {
         PassError::Balance(e)
-    }
-}
-
-impl From<WeightedBalanceError> for PassError {
-    fn from(e: WeightedBalanceError) -> PassError {
-        PassError::Weighted(e)
     }
 }
 
@@ -140,9 +135,9 @@ pub struct FlowContext<'g> {
     caches: StructuralCaches,
     /// Fan-out restriction statistics (set by the fan-out pass).
     pub fanout: Option<FanoutRestriction>,
-    /// Buffer insertion statistics (set by ASAP/retimed insertion).
+    /// Unit-delay buffer insertion statistics.
     pub buffers: Option<BufferInsertion>,
-    /// Weighted insertion statistics (set by weighted insertion).
+    /// Weighted insertion statistics.
     pub weighted: Option<WeightedInsertion>,
     /// Balance verification report (set by the verify pass).
     pub report: Option<BalanceReport>,
@@ -223,6 +218,50 @@ impl<'g> FlowContext<'g> {
     /// Cached fan-out counts of the working netlist.
     pub fn fanout_counts(&mut self) -> Arc<Vec<u32>> {
         self.caches.fanout_counts(&self.netlist)
+    }
+
+    /// Resolves a buffer-insertion strategy to the (delay weights,
+    /// arrival schedule) pair it balances the working netlist against —
+    /// the one place strategies differ:
+    ///
+    /// * [`BufferStrategy::Asap`] → unit weights, cached ASAP levels;
+    /// * [`BufferStrategy::Retimed`] → unit weights,
+    ///   [`crate::schedule_levels`]' retimed levels;
+    /// * [`BufferStrategy::Weighted`] → its weights, arrivals under them;
+    /// * [`BufferStrategy::CostAware`] →
+    ///   [`DelayWeights::for_cost_model`] of the run's cost model,
+    ///   arrivals under them.
+    ///
+    /// # Errors
+    ///
+    /// [`PassError::Custom`] for [`BufferStrategy::CostAware`] on a run
+    /// without a cost model.
+    pub(crate) fn schedule(
+        &mut self,
+        strategy: BufferStrategy,
+    ) -> Result<(DelayWeights, Arc<Vec<u32>>), PassError> {
+        let weights = match strategy {
+            BufferStrategy::Asap | BufferStrategy::Retimed => DelayWeights::UNIT,
+            BufferStrategy::Weighted(weights) => weights,
+            BufferStrategy::CostAware => {
+                DelayWeights::for_cost_model(self.cost.as_ref().ok_or_else(|| {
+                    PassError::Custom(
+                        "cost-aware balancing needs a cost model \
+                         (FlowPipelineBuilder::with_cost_model or Engine::run_pipeline_grid)"
+                            .to_owned(),
+                    )
+                })?)
+            }
+        };
+        let arrival = if strategy == BufferStrategy::Retimed {
+            Arc::new(crate::retiming::schedule_levels(&self.netlist, &mut self.caches).retimed)
+        } else if weights == DelayWeights::UNIT {
+            self.levels()
+        } else {
+            let order = self.topo_order();
+            Arc::new(self.netlist.levels_from_order(&order, &weights))
+        };
+        Ok((weights, arrival))
     }
 
     /// Cached depth of the working netlist.
@@ -476,8 +515,8 @@ impl FlowPipeline {
 
     /// [`FlowPipeline::run`] with an explicit cost model, overriding
     /// the pipeline's default — the per-cell entry point of
-    /// [`FlowPipeline::run_grid`]. `None` runs cost-blind (no priced
-    /// trace entries).
+    /// [`crate::Engine::run_pipeline_grid`]. `None` runs cost-blind (no
+    /// priced trace entries).
     ///
     /// # Errors
     ///
@@ -688,90 +727,6 @@ impl FlowPipeline {
             trace,
         })
     }
-
-    /// Runs the pipeline over many graphs in parallel (one task per
-    /// graph, scheduled across all cores), preserving input order.
-    pub fn run_batch(&self, graphs: &[&Mig]) -> Vec<Result<PipelineRun, PassError>> {
-        graphs.par_iter().map(|graph| self.run(graph)).collect()
-    }
-
-    /// Runs the full circuit × technology grid: every `(graph, model)`
-    /// cell is one task on the work-pulling parallel scheduler, so a
-    /// whole multi-technology sweep costs one driver call instead of a
-    /// hand-rolled per-technology loop.
-    ///
-    /// Every cell carries its model into the run, so priced trace
-    /// entries come back per (circuit, technology, pass) and cost-aware
-    /// passes may legitimately produce *different* netlists per
-    /// technology; with a cost-blind pipeline every cell of one circuit
-    /// row is structurally identical and only the pricing differs.
-    ///
-    /// Cells are returned circuit-major (`circuit * models.len() +
-    /// model`), matching the input orders. An empty `models` slice
-    /// yields an empty grid.
-    ///
-    /// Since the engine-facade redesign this is a thin wrapper over an
-    /// uncached [`crate::Engine`] — prefer a long-lived engine (and a
-    /// [`crate::FlowSpec`] or
-    /// [`crate::Engine::run_pipeline_grid`]) to get result caching
-    /// across overlapping sweeps; results are bit-identical either way.
-    pub fn run_grid(&self, graphs: &[&Mig], models: &[CostTable]) -> Vec<GridCell> {
-        if models.is_empty() {
-            return Vec::new();
-        }
-        crate::engine::Engine::uncached()
-            .grid_cells(self, None, graphs, models, None, &|_| {})
-            .into_iter()
-            .map(|cell| GridCell {
-                circuit: cell.circuit,
-                model: cell.technology.expect("non-empty models price every cell"),
-                outcome: cell
-                    .outcome
-                    .map(|run| Arc::try_unwrap(run).unwrap_or_else(|shared| (*shared).clone())),
-            })
-            .collect()
-    }
-}
-
-/// One cell of a [`FlowPipeline::run_grid`] sweep.
-#[derive(Clone, Debug)]
-pub struct GridCell {
-    /// Index into the `graphs` argument.
-    pub circuit: usize,
-    /// Index into the `models` argument.
-    pub model: usize,
-    /// The cell's pipeline run (or the first pass failure).
-    pub outcome: Result<PipelineRun, PassError>,
-}
-
-/// Runs a circuit grid over several *pipeline configurations* (the
-/// other sweep axis: Fig 8's BUF / FO2..5+BUF ladder). Every
-/// `(pipeline, graph)` cell is one task on the same work-pulling
-/// scheduler as [`FlowPipeline::run_grid`]; results come back
-/// pipeline-major (`result[p][g]`).
-///
-/// Legacy, engine-less driver: it accepts arbitrary (even custom-pass)
-/// pipelines, so it cannot be content-hash cached. Callers sweeping
-/// *declarative* configurations should run one
-/// [`crate::Engine::run_pipeline_grid`] per [`crate::PipelineSpec`]
-/// instead and get caching across overlapping sweeps (what the bench
-/// harness's Fig 8 driver does).
-pub fn run_config_grid(
-    pipelines: &[&FlowPipeline],
-    graphs: &[&Mig],
-) -> Vec<Vec<Result<PipelineRun, PassError>>> {
-    let cells: Vec<(usize, usize)> = (0..pipelines.len())
-        .flat_map(|p| (0..graphs.len()).map(move |g| (p, g)))
-        .collect();
-    let flat: Vec<Result<PipelineRun, PassError>> = cells
-        .par_iter()
-        .map(|&(p, g)| pipelines[p].run(graphs[g]))
-        .collect();
-    let mut flat = flat.into_iter();
-    pipelines
-        .iter()
-        .map(|_| flat.by_ref().take(graphs.len()).collect())
-        .collect()
 }
 
 /// Buffer-insertion strategy selector for [`FlowPipelineBuilder`].
@@ -790,6 +745,16 @@ pub enum BufferStrategy {
     /// to [`BufferStrategy::Asap`] when every component fits in one
     /// phase (SWD, NML). Requires a cost model on the run.
     CostAware,
+}
+
+impl BufferStrategy {
+    /// Whether a run of this strategy under `weights` (its resolved
+    /// `FlowContext::schedule` weights) reports in the unit-delay
+    /// slots (`buffers`, `report`) rather than `weighted`: every unit
+    /// run except an explicitly weighted one.
+    pub(crate) fn is_unit_delay(self, weights: &DelayWeights) -> bool {
+        *weights == DelayWeights::UNIT && !matches!(self, BufferStrategy::Weighted(_))
+    }
 }
 
 /// Incremental pipeline assembly with ordering validation at
@@ -927,29 +892,20 @@ impl FlowPipelineBuilder {
 
     /// Adds a buffer-insertion pass with the chosen strategy.
     pub fn insert_buffers(self, strategy: BufferStrategy) -> FlowPipelineBuilder {
-        match strategy {
-            BufferStrategy::Asap => {
-                self.pass(Box::new(crate::buffer_insertion::BufferInsertionPass))
-            }
-            BufferStrategy::Retimed => self.pass(Box::new(crate::retiming::RetimedInsertionPass)),
-            BufferStrategy::Weighted(weights) => {
-                self.pass(Box::new(crate::weighted::WeightedInsertionPass { weights }))
-            }
-            BufferStrategy::CostAware => {
-                self.pass(Box::new(crate::weighted::CostAwareInsertionPass))
-            }
-        }
+        self.pass(Box::new(crate::buffer_insertion::InsertBuffersPass(
+            strategy,
+        )))
     }
 
     /// Adds unit-delay balance verification (plus the fan-out bound
     /// when `fanout_limit` is given).
     pub fn verify(self, fanout_limit: Option<u32>) -> FlowPipelineBuilder {
-        self.pass(Box::new(crate::balance::VerifyBalancePass { fanout_limit }))
+        self.verify_strategy(BufferStrategy::Asap, fanout_limit)
     }
 
     /// Adds weighted-delay balance verification.
     pub fn verify_weighted(self, weights: DelayWeights) -> FlowPipelineBuilder {
-        self.pass(Box::new(crate::weighted::VerifyWeightedPass { weights }))
+        self.verify_strategy(BufferStrategy::Weighted(weights), None)
     }
 
     /// Adds cost-aware balance verification: checks against the phase
@@ -957,7 +913,16 @@ impl FlowPipelineBuilder {
     /// [`BufferStrategy::CostAware`]). `fanout_limit` additionally
     /// enforces the §IV bound.
     pub fn verify_cost_aware(self, fanout_limit: Option<u32>) -> FlowPipelineBuilder {
-        self.pass(Box::new(crate::weighted::CostAwareVerifyPass {
+        self.verify_strategy(BufferStrategy::CostAware, fanout_limit)
+    }
+
+    fn verify_strategy(
+        self,
+        strategy: BufferStrategy,
+        fanout_limit: Option<u32>,
+    ) -> FlowPipelineBuilder {
+        self.pass(Box::new(crate::balance::VerifyBalancePass {
+            strategy,
             fanout_limit,
         }))
     }
@@ -1209,24 +1174,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_driver_matches_single_runs() {
-        let graphs: Vec<Mig> = (10..16).map(sample_mig).collect();
-        let refs: Vec<&Mig> = graphs.iter().collect();
-        let pipeline = FlowPipeline::for_config(FlowConfig::default());
-        let batch = pipeline.run_batch(&refs);
-        assert_eq!(batch.len(), graphs.len());
-        for (graph, outcome) in graphs.iter().zip(batch) {
-            let single = pipeline.run(graph).unwrap();
-            let parallel = outcome.unwrap();
-            assert_eq!(
-                single.result.pipelined_counts(),
-                parallel.result.pipelined_counts()
-            );
-            assert_eq!(single.result.report, parallel.result.report);
-        }
-    }
-
-    #[test]
     fn map_kind_pass_that_never_maps_is_an_error_not_a_panic() {
         struct ForgetfulMapPass;
         impl Pass for ForgetfulMapPass {
@@ -1319,12 +1266,14 @@ mod tests {
         let refs: Vec<&Mig> = graphs.iter().collect();
         let table = crate::cost::CostTable::from_model(&FlatModel);
         let models = vec![table.clone(), table];
-        let pipeline = FlowPipeline::for_config(FlowConfig::default());
-        let cells = pipeline.run_grid(&refs, &models);
+        let spec = crate::spec::PipelineSpec::for_config(FlowConfig::default());
+        let engine = crate::engine::Engine::uncached();
+        let cells = engine.run_pipeline_grid(&spec, &refs, &models).unwrap();
         assert_eq!(cells.len(), graphs.len() * models.len());
+        let pipeline = FlowPipeline::for_config(FlowConfig::default());
         for (i, cell) in cells.iter().enumerate() {
             assert_eq!(cell.circuit, i / models.len());
-            assert_eq!(cell.model, i % models.len());
+            assert_eq!(cell.technology, Some(i % models.len()));
             let run = cell.outcome.as_ref().expect("grid cell verifies");
             let single = pipeline.run(&graphs[cell.circuit]).unwrap();
             assert_eq!(
@@ -1333,32 +1282,12 @@ mod tests {
             );
             assert!(run.trace.iter().all(|s| s.priced.is_some()));
         }
-        assert!(pipeline.run_grid(&refs, &[]).is_empty());
-    }
-
-    #[test]
-    fn config_grid_is_pipeline_major() {
-        let graphs: Vec<Mig> = (40..42).map(sample_mig).collect();
-        let refs: Vec<&Mig> = graphs.iter().collect();
-        let fo3 = FlowPipeline::for_config(FlowConfig::default());
-        let buf_only = FlowPipeline::builder()
-            .map(false)
-            .insert_buffers(BufferStrategy::Asap)
-            .build()
-            .unwrap();
-        let grid = run_config_grid(&[&fo3, &buf_only], &refs);
-        assert_eq!(grid.len(), 2);
-        for (pipeline, row) in [&fo3, &buf_only].iter().zip(&grid) {
-            assert_eq!(row.len(), graphs.len());
-            for (g, outcome) in refs.iter().zip(row) {
-                let single = pipeline.run(g).unwrap();
-                let gridded = outcome.as_ref().unwrap();
-                assert_eq!(
-                    single.result.pipelined_counts(),
-                    gridded.result.pipelined_counts()
-                );
-            }
-        }
+        let blind = engine.run_pipeline_grid(&spec, &refs, &[]).unwrap();
+        assert_eq!(
+            blind.len(),
+            graphs.len(),
+            "no models: one cost-blind cell per graph"
+        );
     }
 
     #[test]

@@ -1,32 +1,13 @@
-//! Slack-aware level retiming — an ablation beyond the paper.
-//!
-//! Algorithm 1 balances paths against the netlist's ASAP levels (the
-//! paper assumes "the input netlist is already optimized for depth" and
-//! fixes levels accordingly). But any *feasible* level assignment — one
-//! where every edge spans at least one level and the overall depth is
-//! unchanged — yields a correct wave pipeline after buffer insertion,
-//! and different assignments need different buffer counts.
-//!
-//! With shared buffer chains, the total buffer count under an assignment
-//! `ℓ` is exactly
-//!
-//! ```text
-//! Σ_u  max(0, maxreq(u) − ℓ(u))
-//! ```
-//!
-//! where `maxreq(u)` is the deepest level any consumer of `u` requires
-//! (`ℓ(consumer) − 1`, or the output depth for output drivers). This
-//! module hill-climbs that objective: in reverse topological order each
-//! component is moved one level later while the move strictly reduces
-//! the objective — moving a component shortens its own chain by one and
-//! extends a fan-in's chain only when the component was that fan-in's
-//! deepest consumer. The classic win is a shallow component hanging off
-//! a driver that already feeds a deep chain: the component slides up
-//! under the existing chain for free.
+//! Slack-aware level retiming — an ablation beyond the paper. Any
+//! *feasible* level assignment (every edge spans ≥ 1 level, depth
+//! unchanged) balances correctly, at a buffer cost of
+//! [`LevelSchedule::buffer_cost`]. [`schedule_levels`] hill-climbs it:
+//! in reverse topological order each component moves a level later
+//! while that strictly helps, e.g. a shallow component sliding up under
+//! a chain its driver already grows.
 
-use crate::buffer_insertion::{insert_buffers_with_levels, BufferInsertion};
 use crate::component::{CompId, ComponentKind};
-use crate::netlist::Netlist;
+use crate::netlist::{Netlist, StructuralCaches};
 
 /// ASAP and ALAP levels plus the retimed assignment.
 #[derive(Clone, Debug)]
@@ -48,54 +29,20 @@ impl LevelSchedule {
             .map(|(&a, &l)| u64::from(l - a))
             .sum()
     }
-
-    /// Exact buffer count Algorithm 1 will insert under `levels`.
-    pub fn buffer_cost(netlist: &Netlist, levels: &[u32]) -> u64 {
-        let fanout = netlist.fanout_edges();
-        let depth = netlist
-            .outputs()
-            .iter()
-            .filter(|p| netlist.component(p.driver).kind() != ComponentKind::Const)
-            .map(|p| levels[p.driver.index()])
-            .max()
-            .unwrap_or(0);
-        let mut output_driver = vec![false; netlist.len()];
-        for p in netlist.outputs() {
-            if netlist.component(p.driver).kind() != ComponentKind::Const {
-                output_driver[p.driver.index()] = true;
-            }
-        }
-        let mut total = 0u64;
-        for id in netlist.ids() {
-            if netlist.component(id).kind() == ComponentKind::Const {
-                continue;
-            }
-            let mut maxreq: Option<u32> = None;
-            for &(c, _) in &fanout[id.index()] {
-                maxreq =
-                    Some(maxreq.map_or(levels[c.index()] - 1, |m| m.max(levels[c.index()] - 1)));
-            }
-            if output_driver[id.index()] {
-                maxreq = Some(maxreq.map_or(depth, |m| m.max(depth)));
-            }
-            if let Some(m) = maxreq {
-                total += u64::from(m.saturating_sub(levels[id.index()]));
-            }
-        }
-        total
-    }
 }
 
-/// Computes ASAP/ALAP levels and the retimed assignment for `netlist`.
+/// Computes ASAP/ALAP levels and the retimed assignment for `netlist`,
+/// reading its structural views from `caches` (which must describe
+/// `netlist`; a fresh [`StructuralCaches::default`] always does).
 ///
-/// The returned assignment is always feasible: inputs stay at level 0,
-/// every edge spans ≥ 1 level, no component moves past the output depth,
-/// and the buffer cost never exceeds the ASAP cost.
-pub fn schedule_levels(netlist: &Netlist) -> LevelSchedule {
-    let asap = netlist.levels();
-    let order = netlist.topo_order();
+/// The retimed assignment is always feasible (inputs stay at level 0,
+/// every edge spans ≥ 1 level, the depth is unchanged) and never costs
+/// more buffers than ASAP.
+pub fn schedule_levels(netlist: &Netlist, caches: &mut StructuralCaches) -> LevelSchedule {
+    let asap = caches.levels(netlist).to_vec();
+    let order = caches.topo_order(netlist);
     let n = netlist.len();
-    let fanout = netlist.fanout_edges();
+    let fanout = caches.fanout_edges(netlist);
 
     let is_const = |id: CompId| netlist.component(id).kind() == ComponentKind::Const;
     let is_movable = |id: CompId| {
@@ -105,13 +52,7 @@ pub fn schedule_levels(netlist: &Netlist) -> LevelSchedule {
         )
     };
 
-    let depth = netlist
-        .outputs()
-        .iter()
-        .filter(|p| !is_const(p.driver))
-        .map(|p| asap[p.driver.index()])
-        .max()
-        .unwrap_or(0);
+    let depth = netlist.depth_from_levels(&asap);
     let mut output_driver = vec![false; n];
     for p in netlist.outputs() {
         if !is_const(p.driver) {
@@ -123,12 +64,8 @@ pub fn schedule_levels(netlist: &Netlist) -> LevelSchedule {
     let mut alap = vec![depth; n];
     for &id in order.iter().rev() {
         for &f in netlist.component(id).fanins() {
-            if is_const(f) {
-                continue;
-            }
-            let bound = alap[id.index()].saturating_sub(1);
-            if alap[f.index()] > bound {
-                alap[f.index()] = bound;
+            if !is_const(f) {
+                alap[f.index()] = alap[f.index()].min(alap[id.index()].saturating_sub(1));
             }
         }
     }
@@ -148,49 +85,35 @@ pub fn schedule_levels(netlist: &Netlist) -> LevelSchedule {
         }
         // Feasibility bound: one below the shallowest consumer; output
         // drivers may not pass the common output depth.
-        let mut ub = if output_driver[id.index()] {
-            depth
-        } else {
-            u32::MAX
-        };
-        for &(c, _) in &fanout[id.index()] {
-            ub = ub.min(retimed[c.index()] - 1);
-        }
-        if ub == u32::MAX {
+        let ub = fanout[id.index()]
+            .iter()
+            .map(|&(c, _)| retimed[c.index()] - 1)
+            .chain(output_driver[id.index()].then_some(depth))
+            .min();
+        let Some(ub) = ub else {
             continue; // dangling component: leave at ASAP
-        }
+        };
 
         while retimed[id.index()] < ub {
             let next = retimed[id.index()] + 1;
             // Moving up saves one buffer on our own chain (ub ≤ maxreq
-            // guarantees the chain is non-empty) and costs one buffer on
-            // every fan-in whose chain we were already the deepest
-            // consumer of.
-            let mut extensions = 0u32;
-            for &f in netlist.component(id).fanins() {
+            // guarantees the chain is non-empty) and costs one on every
+            // fan-in whose chain we were already the deepest consumer
+            // of; move only on strict improvement.
+            let extends = netlist.component(id).fanins().iter().any(|&f| {
                 if is_const(f) {
-                    continue;
+                    return false;
                 }
-                let mut maxreq_other: Option<u32> = None;
-                for &(c, _) in &fanout[f.index()] {
-                    if c == id {
-                        continue;
-                    }
-                    let r = retimed[c.index()] - 1;
-                    maxreq_other = Some(maxreq_other.map_or(r, |m| m.max(r)));
-                }
-                if output_driver[f.index()] {
-                    maxreq_other = Some(maxreq_other.map_or(depth, |m| m.max(depth)));
-                }
-                // We require the driver at level `next − 1`.
-                let covered =
-                    maxreq_other.map_or(retimed[f.index()], |m| m.max(retimed[f.index()]));
-                if next - 1 > covered {
-                    extensions += 1;
-                }
-            }
-            if extensions >= 1 {
-                break; // strict improvement only
+                let covered = fanout[f.index()]
+                    .iter()
+                    .filter(|&&(c, _)| c != id)
+                    .map(|&(c, _)| retimed[c.index()] - 1)
+                    .chain(output_driver[f.index()].then_some(depth))
+                    .fold(retimed[f.index()], u32::max);
+                next - 1 > covered
+            });
+            if extends {
+                break;
             }
             retimed[id.index()] = next;
         }
@@ -203,46 +126,24 @@ pub fn schedule_levels(netlist: &Netlist) -> LevelSchedule {
     }
 }
 
-/// Runs buffer insertion against the retimed levels instead of ASAP.
-///
-/// Produces a balanced netlist of identical depth and function; on
-/// netlists with shallow components hanging off deeply-shared drivers it
-/// needs measurably fewer buffers (see the `ablation_retiming` harness).
-pub fn insert_buffers_retimed(netlist: &mut Netlist) -> BufferInsertion {
-    let schedule = schedule_levels(netlist);
-    insert_buffers_with_levels(netlist, &schedule.retimed)
-}
-
-/// Pipeline pass wrapping [`insert_buffers_retimed`] (Algorithm 1
-/// against hill-climbed levels — same depth, fewer buffers).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RetimedInsertionPass;
-
-impl crate::pipeline::Pass for RetimedInsertionPass {
-    fn name(&self) -> String {
-        "insert_buffers(retimed)".to_owned()
-    }
-
-    fn kind(&self) -> crate::pipeline::PassKind {
-        crate::pipeline::PassKind::BufferInsertion
-    }
-
-    fn run(
-        &self,
-        ctx: &mut crate::pipeline::FlowContext<'_>,
-    ) -> Result<(), crate::pipeline::PassError> {
-        let stats = insert_buffers_retimed(ctx.netlist_mut());
-        ctx.buffers = Some(stats);
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::balance::verify_balance;
-    use crate::buffer_insertion::insert_buffers;
+    use crate::buffer_insertion::{balance, insert_buffers, BufferInsertion};
     use crate::from_mig::netlist_from_mig;
+    use crate::weighted::DelayWeights;
+
+    fn schedule(n: &Netlist) -> LevelSchedule {
+        schedule_levels(n, &mut StructuralCaches::default())
+    }
+
+    /// The retimed strategy: the unit-weight kernel on retimed levels.
+    fn insert_buffers_retimed(n: &mut Netlist) -> BufferInsertion {
+        let levels = schedule(n).retimed;
+        let fanout = n.fanout_edges();
+        balance(n, &DelayWeights::UNIT, &levels, &fanout).expect("retimed levels are feasible")
+    }
 
     #[test]
     fn retimed_levels_are_feasible() {
@@ -254,7 +155,7 @@ mod tests {
             seed: 31,
         });
         let n = netlist_from_mig(&g);
-        let s = schedule_levels(&n);
+        let s = schedule(&n);
         for id in n.ids() {
             assert!(s.alap[id.index()] >= s.asap[id.index()]);
             assert!(s.retimed[id.index()] >= s.asap[id.index()]);
@@ -282,7 +183,7 @@ mod tests {
                 seed,
             });
             let n = netlist_from_mig(&g);
-            let s = schedule_levels(&n);
+            let s = schedule(&n);
             let asap_cost = LevelSchedule::buffer_cost(&n, &s.asap);
             let retimed_cost = LevelSchedule::buffer_cost(&n, &s.retimed);
             assert!(
@@ -303,7 +204,7 @@ mod tests {
                 seed,
             });
             let n = netlist_from_mig(&g);
-            let s = schedule_levels(&n);
+            let s = schedule(&n);
 
             let mut asap_net = n.clone();
             let stats = insert_buffers(&mut asap_net);
@@ -369,7 +270,7 @@ mod tests {
         n.add_output("f", g);
         let _ = c;
 
-        let s = schedule_levels(&n);
+        let s = schedule(&n);
         assert_eq!(s.retimed[inv.index()], 4, "inverter slides to level 4");
 
         let mut asap_net = n.clone();
@@ -396,7 +297,7 @@ mod tests {
         let b1 = n.add_buf(a);
         let b2 = n.add_buf(b1);
         n.add_output("f", b2);
-        let s = schedule_levels(&n);
+        let s = schedule(&n);
         assert_eq!(s.total_slack(), 0);
     }
 }

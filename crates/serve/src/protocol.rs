@@ -640,4 +640,14 @@ mod tests {
         assert!(Request::parse("{\"id\":1,\"control\":\"reboot\"}").is_err());
         assert!(Event::parse("{\"id\":1,\"event\":\"nope\"}").is_err());
     }
+
+    #[test]
+    fn deeply_nested_lines_are_errors_not_stack_overflows() {
+        // Parsed on a default-size (2 MiB) thread, like a connection's.
+        let err = std::thread::spawn(|| Request::parse(&"[".repeat(20_000)))
+            .join()
+            .expect("parsing must not abort the thread")
+            .unwrap_err();
+        assert!(err.0.contains("recursion limit"), "{}", err.0);
+    }
 }

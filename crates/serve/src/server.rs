@@ -654,6 +654,29 @@ mod tests {
     }
 
     #[test]
+    fn a_deeply_nested_line_gets_an_error_and_the_connection_lives_on() {
+        use std::io::{BufRead, BufReader, Write};
+        let server = start_server();
+        let mut stream = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+        let hostile = "[".repeat(20_000);
+        let ping = Request::Control {
+            id: 2,
+            control: Control::Ping,
+        };
+        write!(stream, "{hostile}\n{}\n", ping.to_line()).expect("send");
+        let mut lines = BufReader::new(stream).lines();
+        let mut next = || Event::parse(&lines.next().unwrap().unwrap()).unwrap();
+        match next() {
+            Event::Error { id: 0, message } => {
+                assert!(message.contains("recursion limit"), "{message}");
+            }
+            other => panic!("expected an error event, got {other:?}"),
+        }
+        assert!(matches!(next(), Event::Pong { id: 2 }));
+        server.shutdown();
+    }
+
+    #[test]
     fn identical_in_flight_specs_coalesce_to_one_execution() {
         // Deterministic coalescing: occupy both workers with the same
         // spec is racy, so instead drive the coalescer through the

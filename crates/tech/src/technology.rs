@@ -4,7 +4,7 @@
 //! [`Technology`] is the canonical implementation of the flow's
 //! [`CostModel`] trait — [`Technology::cost_table`] precomputes it into
 //! the flat [`wavepipe::CostTable`] the pass pipeline threads through
-//! its context and `run_grid` fans out over.
+//! its context and `Engine::run_pipeline_grid` fans out over.
 
 use wavepipe::{ComponentKind, CostModel, CostTable};
 

@@ -1,6 +1,6 @@
 //! The pass-pipeline API: assemble custom flow configurations, inspect
 //! per-pass instrumentation, and evaluate a batch of circuits in
-//! parallel.
+//! parallel on the engine's grid driver.
 //!
 //! ```text
 //! cargo run --release --example pass_pipeline
@@ -68,27 +68,27 @@ fn main() {
         .unwrap_err();
     println!("ill-ordered pipeline rejected: {err}");
 
-    // 5. FOG-k sweep over a batch of circuits, in parallel: four
-    //    pipelines × N circuits, each suite run scheduled across all
-    //    cores by run_batch.
+    // 5. FOG-k sweep over a batch of circuits, in parallel: one
+    //    declarative pipeline per k, each run over all four circuits as
+    //    one grid call on the engine (no models → one cost-blind cell
+    //    per circuit, scheduled across all cores).
     let graphs: Vec<mig::Mig> = ["SASC", "ADD32R", "ALU16", "CMP32"]
         .iter()
         .map(|name| find_benchmark(name).expect("suite benchmark").build())
         .collect();
     let refs: Vec<&mig::Mig> = graphs.iter().collect();
+    let engine = Engine::new().with_resolver(benchsuite::build_mig);
     println!("\nFOG-k sweep (4 circuits in parallel):");
     for k in 2..=5u32 {
-        let pipeline = FlowPipeline::builder()
-            .map(false)
+        let pipeline = PipelineSpec::map(false)
             .restrict_fanout(k)
             .insert_buffers(BufferStrategy::Asap)
-            .verify(Some(k))
-            .build()
-            .expect("well-ordered");
-        let ratios: Vec<f64> = pipeline
-            .run_batch(&refs)
+            .verify(Some(k));
+        let ratios: Vec<f64> = engine
+            .run_pipeline_grid(&pipeline, &refs, &[])
+            .expect("pipeline spec validates")
             .into_iter()
-            .map(|outcome| outcome.expect("flow verifies").result.size_ratio())
+            .map(|cell| cell.outcome.expect("flow verifies").result.size_ratio())
             .collect();
         let mean = ratios.iter().sum::<f64>() / ratios.len() as f64;
         println!("  k={k}: mean size ratio {mean:.2}×");
@@ -109,13 +109,12 @@ fn main() {
     println!("\npriced trace (QCA) on HAMMING:");
     print!("{}", priced.trace_table());
 
-    // 7. The circuit × technology grid, through the engine facade: the
+    // 7. The circuit × technology grid, through the same engine: the
     //    experiment is a declarative FlowSpec (pipeline + technologies
     //    + circuit names), every (circuit, technology) cell is one task
     //    on the work-pulling scheduler, and the engine's content-hash
     //    keyed cache makes repeated or overlapping sweeps incremental
     //    (see examples/engine_spec.rs for the cache at work).
-    let engine = Engine::new().with_resolver(benchsuite::build_mig);
     let mut spec = FlowSpec::new("pass-pipeline-grid");
     for name in ["SASC", "ADD32R", "ALU16", "CMP32"] {
         spec = spec.circuit(name);

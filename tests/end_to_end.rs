@@ -113,13 +113,17 @@ fn every_fanout_limit_works_end_to_end() {
 
 #[test]
 fn weighted_balancing_composes_with_fanout_restriction() {
-    use wavepipe::{insert_buffers_weighted, verify_weighted_balance, DelayWeights};
+    use wavepipe::{balance, check_balance, weighted_arrivals, DelayWeights};
     let g = find_benchmark("HAMMING").expect("suite benchmark").build();
     let mut n = netlist_from_mig(&g);
     restrict_fanout(&mut n, 3);
     let golden = netlist_from_mig(&g);
-    insert_buffers_weighted(&mut n, &DelayWeights::QCA).expect("QCA weights always divide");
-    verify_weighted_balance(&n, &DelayWeights::QCA).expect("weighted invariants hold");
+    let qca = DelayWeights::QCA;
+    let (arrival, fanout) = (weighted_arrivals(&n, &qca), n.fanout_edges());
+    balance(&mut n, &qca, &arrival, &fanout).expect("QCA weights always divide");
+    let arrival = weighted_arrivals(&n, &qca);
+    check_balance(&n, &qca, &arrival, &n.fanout_counts(), Some(3))
+        .expect("weighted invariants and the fan-out bound hold");
     for pattern in random_patterns(g.input_count(), 16, 5) {
         assert_eq!(golden.eval(&pattern), n.eval(&pattern));
     }
@@ -140,6 +144,7 @@ fn netlist_io_roundtrips_after_the_flow() {
 
 #[test]
 fn retimed_flow_is_equivalent_and_cheaper_or_equal() {
+    const UNIT: wavepipe::DelayWeights = wavepipe::DelayWeights::UNIT;
     for name in ["SASC", "HAMMING", "ALU16"] {
         let g = find_benchmark(name).expect("suite benchmark").build();
         let mut base = netlist_from_mig(&g);
@@ -147,8 +152,11 @@ fn retimed_flow_is_equivalent_and_cheaper_or_equal() {
 
         let mut asap = base.clone();
         let asap_stats = insert_buffers(&mut asap);
+        let levels = wavepipe::schedule_levels(&base, &mut Default::default()).retimed;
+        let fanout = base.fanout_edges();
         let mut retimed = base;
-        let retimed_stats = wavepipe::insert_buffers_retimed(&mut retimed);
+        let retimed_stats = wavepipe::balance(&mut retimed, &UNIT, &levels, &fanout)
+            .expect("retimed levels are feasible");
         assert!(
             retimed_stats.total() <= asap_stats.total(),
             "{name}: retimed {} > asap {}",

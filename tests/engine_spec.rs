@@ -1,7 +1,7 @@
 //! Acceptance tests for the engine-facade redesign: `FlowSpec` JSON
 //! round-trips, spec validation rejects malformed experiments, and
-//! `Engine`-driven runs are bit-identical to the legacy
-//! `run_flow`/`run_grid` paths — with a warm-cache re-run performing
+//! `Engine`-driven runs are bit-identical to `run_flow` and to direct
+//! pipeline runs — with a warm-cache re-run performing
 //! **zero pass executions** (pinned via the engine's `PassStats`-derived
 //! counters) while returning identical results.
 
@@ -140,15 +140,13 @@ fn engine_runs_are_bit_identical_to_run_flow_on_the_suite() {
 }
 
 #[test]
-fn engine_grid_is_bit_identical_to_run_grid_on_the_suite() {
-    // The legacy grid driver (itself a thin uncached-engine wrapper)
-    // and a cached spec-driven sweep must price every cell identically.
+fn engine_grid_is_bit_identical_to_direct_runs_on_the_suite() {
+    // A cached spec-driven sweep must price every cell exactly as the
+    // pipeline run directly on that cell's graph and model does.
     let engine = suite_engine();
     let suite = build_suite(Some(&QUICK_SUBSET));
-    let graphs: Vec<&Mig> = suite.iter().map(|(_, g)| g).collect();
     let models = tables();
-
-    let legacy = FlowPipeline::for_config(FlowConfig::default()).run_grid(&graphs, &models);
+    let pipeline = FlowPipeline::for_config(FlowConfig::default());
     let spec = {
         let mut spec = FlowSpec::new("grid-golden");
         for (bench, _) in &suite {
@@ -161,25 +159,23 @@ fn engine_grid_is_bit_identical_to_run_grid_on_the_suite() {
     };
     let run = engine.run(&spec).expect("suite verifies");
 
-    assert_eq!(legacy.len(), run.cells.len());
-    for (old, new) in legacy.iter().zip(&run) {
-        assert_eq!(old.circuit, new.circuit);
-        assert_eq!(Some(old.model), new.technology);
-        let old_run = old.outcome.as_ref().expect("legacy verifies");
-        let new_run = new.outcome.as_ref().expect("engine verifies");
-        let label = format!(
-            "{} @ {}",
-            run.circuits[new.circuit],
-            models[old.model].name()
-        );
+    assert_eq!(run.cells.len(), suite.len() * models.len());
+    for (i, cell) in run.cells.iter().enumerate() {
+        assert_eq!(cell.circuit, i / models.len(), "circuit-major");
+        let model = &models[cell.technology.expect("every cell is priced")];
+        let direct = pipeline
+            .run_with_model(&suite[cell.circuit].1, Some(model))
+            .expect("direct run verifies");
+        let gridded = cell.outcome.as_ref().expect("engine verifies");
+        let label = format!("{} @ {}", run.circuits[cell.circuit], model.name());
         assert_eq!(
-            old_run.result.pipelined.counts(),
-            new_run.result.pipelined.counts(),
+            direct.result.pipelined.counts(),
+            gridded.result.pipelined.counts(),
             "{label}"
         );
-        assert_eq!(old_run.result.report, new_run.result.report, "{label}");
+        assert_eq!(direct.result.report, gridded.result.report, "{label}");
         // Priced trace states are bit-identical floats.
-        for (a, b) in old_run.trace.iter().zip(&new_run.trace) {
+        for (a, b) in direct.trace.iter().zip(&gridded.trace) {
             assert_eq!(a.priced, b.priced, "{label}: {}", a.pass);
         }
     }

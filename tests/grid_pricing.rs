@@ -1,4 +1,4 @@
-//! Golden tests for the cost-model layer: a `run_grid` sweep must price
+//! Golden tests for the cost-model layer: an engine grid sweep must price
 //! exactly what the legacy post-hoc `compare()` path reports, and the
 //! per-pass priced deltas must be invariant under every pass reordering
 //! the pipeline builder permits.

@@ -67,10 +67,18 @@ fn default_pipeline_is_result_equivalent_to_legacy_flow_on_quick_suite() {
 fn batch_driver_matches_sequential_wrapper_on_quick_suite() {
     let suite = build_suite(Some(&QUICK_SUBSET));
     let graphs: Vec<&mig::Mig> = suite.iter().map(|(_, g)| g).collect();
-    let batch = wavepipe::run_flow_batch(&graphs, FlowConfig::default());
+    // The batch driver is the engine's cost-blind grid: one cell per
+    // graph on the work-pulling scheduler.
+    let batch = wavepipe::Engine::uncached()
+        .run_pipeline_grid(
+            &PipelineSpec::for_config(FlowConfig::default()),
+            &graphs,
+            &[],
+        )
+        .expect("config specs validate");
     assert_eq!(batch.len(), suite.len());
-    for ((spec, g), outcome) in suite.iter().zip(batch) {
-        let parallel = outcome.expect("batch flow verifies");
+    for ((spec, g), cell) in suite.iter().zip(batch) {
+        let parallel = &cell.outcome.expect("batch flow verifies").result;
         let serial = run_flow(g, FlowConfig::default()).expect("serial flow verifies");
         assert_eq!(
             parallel.pipelined.counts(),

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use wave_pipelining::prelude::*;
-use wavepipe::{verify_weighted_balance, DelayWeights, WaveSimulator};
+use wavepipe::{balance, check_balance, weighted_arrivals, DelayWeights, WaveSimulator};
 
 fn mig_config() -> impl Strategy<Value = mig::RandomMigConfig> {
     (3usize..10, 1usize..5, 2u32..9, 0u64..500).prop_flat_map(|(inputs, outputs, depth, seed)| {
@@ -87,7 +87,7 @@ proptest! {
         // the retiming cost model computes that sum independently.
         let g = mig::random_mig(config);
         let n = netlist_from_mig(&g);
-        let schedule = wavepipe::schedule_levels(&n);
+        let schedule = wavepipe::schedule_levels(&n, &mut Default::default());
         let mut inserted = n.clone();
         let stats = insert_buffers(&mut inserted);
         prop_assert_eq!(
@@ -102,8 +102,11 @@ proptest! {
         let n = netlist_from_mig(&g);
         let mut asap = n.clone();
         let a = insert_buffers(&mut asap);
+        let levels = wavepipe::schedule_levels(&n, &mut Default::default()).retimed;
+        let fanout = n.fanout_edges();
         let mut retimed = n;
-        let r = wavepipe::insert_buffers_retimed(&mut retimed);
+        let r = balance(&mut retimed, &DelayWeights::UNIT, &levels, &fanout)
+            .expect("retimed levels are feasible");
         prop_assert!(r.total() <= a.total());
         prop_assert!(verify_balance(&retimed, None).is_ok());
     }
@@ -114,11 +117,17 @@ proptest! {
         let n = netlist_from_mig(&g);
         let mut plain = n.clone();
         let p = insert_buffers(&mut plain);
+        let arrival = weighted_arrivals(&n, &DelayWeights::UNIT);
+        prop_assert_eq!(&arrival, &n.levels());
+        let fanout = n.fanout_edges();
         let mut weighted = n;
-        let w = wavepipe::insert_buffers_weighted(&mut weighted, &DelayWeights::UNIT)
+        let w = balance(&mut weighted, &DelayWeights::UNIT, &arrival, &fanout)
             .expect("unit weights always divide");
-        prop_assert_eq!(w.buffers, p.total());
-        prop_assert_eq!(w.weighted_depth, p.depth);
+        prop_assert_eq!(w, p);
+        prop_assert_eq!(
+            wavepipe::io::write_netlist(&weighted),
+            wavepipe::io::write_netlist(&plain)
+        );
     }
 
     #[test]
@@ -126,9 +135,11 @@ proptest! {
         let g = mig::random_mig(config);
         let mut n = netlist_from_mig(&g);
         let golden = n.clone();
-        wavepipe::insert_buffers_weighted(&mut n, &DelayWeights::QCA)
-            .expect("buf weight 1 always divides");
-        verify_weighted_balance(&n, &DelayWeights::QCA).expect("weighted invariants");
+        let qca = DelayWeights::QCA;
+        let (arrival, fanout) = (weighted_arrivals(&n, &qca), n.fanout_edges());
+        balance(&mut n, &qca, &arrival, &fanout).expect("buf weight 1 always divides");
+        let arrival = weighted_arrivals(&n, &qca);
+        check_balance(&n, &qca, &arrival, &n.fanout_counts(), None).expect("weighted invariants");
         for p in patterns(config.inputs, config.seed ^ 3) {
             prop_assert_eq!(golden.eval(&p), n.eval(&p));
         }
