@@ -133,23 +133,23 @@ pub fn balance(
                 .iter()
                 .map(|&position| (target, Use::Output { position })),
         );
-        let indivisible = (weights.buf > 1)
-            .then(|| {
-                uses.iter()
-                    .find(|(required, _)| !(required - from_level).is_multiple_of(weights.buf))
-            })
-            .flatten();
-        if let Some(&(required, u)) = indivisible {
-            let err = BalanceError::IndivisibleGap {
-                from: comp,
-                to: match u {
-                    Use::Gate { consumer, .. } => consumer,
-                    Use::Output { .. } => comp,
-                },
-                gap: required - from_level,
-                buf_weight: weights.buf,
-            };
-            return Err(unwind(netlist, original_len, err));
+        // Every gap must be a whole number of buffers (always so at
+        // weight 1, which skips the check).
+        if weights.buf > 1 {
+            let whole =
+                |&(required, _): &(u32, Use)| (required - from_level).is_multiple_of(weights.buf);
+            if let Some(&(required, u)) = uses.iter().find(|u| !whole(u)) {
+                let err = BalanceError::IndivisibleGap {
+                    from: comp,
+                    to: match u {
+                        Use::Gate { consumer, .. } => consumer,
+                        Use::Output { .. } => comp,
+                    },
+                    gap: required - from_level,
+                    buf_weight: weights.buf,
+                };
+                return Err(unwind(netlist, original_len, err));
+            }
         }
 
         // Algorithm 1's sortFanOut: ascending required arrival, then one
