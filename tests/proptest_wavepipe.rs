@@ -131,6 +131,31 @@ proptest! {
     }
 
     #[test]
+    fn failed_balancing_leaves_any_netlist_untouched(config in mig_config(), bump in 0usize..64) {
+        // NML weights (BUF 2) leave odd gaps around inverters, and a
+        // schedule with one gate pulled a level early is infeasible:
+        // either way a sweep that fails after growing chains for earlier
+        // drivers must undo them.
+        let g = mig::random_mig(config);
+        let n = netlist_from_mig(&g);
+        let before = wavepipe::io::write_netlist(&n);
+        let nml = DelayWeights::NML;
+        let mut early = n.levels();
+        let gates: Vec<usize> = (0..n.len()).filter(|&i| early[i] > 1).collect();
+        if let Some(&gate) = gates.get(bump % gates.len().max(1)) {
+            early[gate] -= 1;
+        }
+        let fanout = n.fanout_edges();
+        for (weights, arrival) in [(nml, weighted_arrivals(&n, &nml)), (DelayWeights::UNIT, early)] {
+            let mut trial = n.clone();
+            if balance(&mut trial, &weights, &arrival, &fanout).is_err() {
+                prop_assert_eq!(wavepipe::io::write_netlist(&trial), before.clone());
+                prop_assert_eq!(trial.counts(), n.counts());
+            }
+        }
+    }
+
+    #[test]
     fn weighted_qca_balances_any_netlist(config in mig_config()) {
         let g = mig::random_mig(config);
         let mut n = netlist_from_mig(&g);
