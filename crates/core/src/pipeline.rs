@@ -1071,6 +1071,33 @@ mod tests {
     }
 
     #[test]
+    fn balancing_pass_names_are_stable() {
+        // Pass names are persisted in cached traces.
+        let names = |strategy, verify: fn(FlowPipelineBuilder) -> FlowPipelineBuilder| {
+            let builder = FlowPipeline::builder().map(false).insert_buffers(strategy);
+            verify(builder).build().unwrap().pass_names()[1..].to_vec()
+        };
+        let qca = DelayWeights::QCA;
+        assert_eq!(
+            names(BufferStrategy::Asap, |b| b.verify(None)),
+            ["insert_buffers(asap)", "verify"]
+        );
+        assert_eq!(
+            names(BufferStrategy::Retimed, |b| b.verify(Some(4))),
+            ["insert_buffers(retimed)", "verify(fo≤4)"]
+        );
+        assert_eq!(
+            names(BufferStrategy::Weighted(qca), |b| b
+                .verify_weighted(DelayWeights::QCA)),
+            ["insert_buffers(weighted)", "verify(weighted)"]
+        );
+        assert_eq!(
+            names(BufferStrategy::CostAware, |b| b.verify_cost_aware(Some(3))),
+            ["insert_buffers(cost-aware)", "verify(cost-aware)"]
+        );
+    }
+
+    #[test]
     fn builder_rejects_ill_ordered_pipelines() {
         assert_eq!(
             FlowPipeline::builder().build().unwrap_err(),
