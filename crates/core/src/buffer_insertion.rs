@@ -17,8 +17,7 @@ use crate::retiming::LevelSchedule;
 use crate::weighted::{DelayWeights, WeightedInsertion};
 
 /// Statistics returned by [`balance`] and [`insert_buffers`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct BufferInsertion {
     /// Buffers between internal components (Algorithm 1's first loop).
     pub balancing_buffers: usize,

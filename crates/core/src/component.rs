@@ -42,8 +42,9 @@ impl fmt::Display for CompId {
 /// The kind of a physical component, matching the cost columns of the
 /// paper's Table I (INV, MAJ, BUF, FOG) plus the two non-priced kinds
 /// (primary inputs and fixed-polarization constant cells).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(
+    Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
+)]
 pub enum ComponentKind {
     /// Primary input port.
     Input,

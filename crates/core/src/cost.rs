@@ -100,11 +100,10 @@ pub trait CostModel: Sync + Send {
 /// Cheap to clone (one `String` plus a few `f64`s) and `Send + Sync`,
 /// so one table can be shared across the parallel batch/grid drivers.
 ///
-/// Serializes unconditionally (hand-rolled, not feature-gated): a table
-/// is the technology component of a [`crate::FlowSpec`], which must
-/// round-trip through JSON, and [`CostTable::content_hash`] gives the
+/// A table is the technology component of a [`crate::FlowSpec`], so it
+/// round-trips through JSON, and [`CostTable::content_hash`] gives the
 /// stable technology identity the [`crate::Engine`] cache keys on.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct CostTable {
     name: String,
     area: [f64; 4],
@@ -198,41 +197,6 @@ impl CostTable {
     }
 }
 
-impl serde::Serialize for CostTable {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("name".to_owned(), self.name.to_value()),
-            ("area".to_owned(), self.area.to_value()),
-            ("delay".to_owned(), self.delay.to_value()),
-            ("energy".to_owned(), self.energy.to_value()),
-            ("phase_delay".to_owned(), self.phase_delay.to_value()),
-            (
-                "output_sense_energy".to_owned(),
-                self.output_sense_energy.to_value(),
-            ),
-        ])
-    }
-}
-
-impl serde::Deserialize for CostTable {
-    fn from_value(value: &serde::Value) -> Result<CostTable, serde::DeError> {
-        let entries = value
-            .as_object()
-            .ok_or_else(|| serde::DeError::expected("object for CostTable"))?;
-        Ok(CostTable {
-            name: serde::Deserialize::from_value(serde::field(entries, "name")?)?,
-            area: serde::Deserialize::from_value(serde::field(entries, "area")?)?,
-            delay: serde::Deserialize::from_value(serde::field(entries, "delay")?)?,
-            energy: serde::Deserialize::from_value(serde::field(entries, "energy")?)?,
-            phase_delay: serde::Deserialize::from_value(serde::field(entries, "phase_delay")?)?,
-            output_sense_energy: serde::Deserialize::from_value(serde::field(
-                entries,
-                "output_sense_energy",
-            )?)?,
-        })
-    }
-}
-
 impl CostModel for CostTable {
     fn cost_name(&self) -> &str {
         &self.name
@@ -271,8 +235,7 @@ impl fmt::Display for CostTable {
 
 /// One priced netlist summary: total area, per-operation energy and
 /// the cycle-time contribution (depth × phase delay).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
+#[derive(Clone, Copy, Debug, Default, PartialEq, serde::Serialize)]
 pub struct PricedCost {
     /// Total component area, µm².
     pub area: f64,
@@ -284,8 +247,7 @@ pub struct PricedCost {
 
 /// Priced netlist state around one pass: what the pass's transformation
 /// cost under the active [`CostTable`].
-#[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
+#[derive(Clone, Debug, PartialEq, serde::Serialize)]
 pub struct PricedDelta {
     /// Name of the cost model the deltas are priced under.
     pub model: String,

@@ -125,7 +125,7 @@ fn resolve_cache_dir(dir: &str) -> PathBuf {
 }
 
 /// Cumulative (or per-run delta) engine counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct EngineStats {
     /// Entries answered from the in-memory cache.
     pub cache_hits: u64,

@@ -24,8 +24,7 @@ use crate::component::{CompId, ComponentKind};
 use crate::netlist::Netlist;
 
 /// Statistics returned by [`restrict_fanout`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct FanoutRestriction {
     /// The fan-out limit that was enforced (the *chosen* `k` when the
     /// cost-aware pass selected it).

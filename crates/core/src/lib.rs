@@ -133,9 +133,9 @@
 //! # }
 //! ```
 //!
-//! With the `serde` cargo feature enabled, the statistics types
-//! ([`KindCounts`], [`PassStats`], the per-pass stats structs) are
-//! JSON-serializable for harness output.
+//! The statistics types ([`KindCounts`], [`PassStats`], the per-pass
+//! stats structs) and the spec types always derive the vendored serde
+//! traits; there is no cargo feature to turn on.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

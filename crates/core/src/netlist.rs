@@ -90,8 +90,7 @@ pub struct Port {
 
 /// Per-kind component counts; the paper's "size" is
 /// [`KindCounts::priced_total`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct KindCounts {
     /// Primary inputs.
     pub inputs: usize,

@@ -27,18 +27,18 @@
 //! concurrent processes sharing a cache directory never observe a
 //! half-written entry.
 //!
-//! The run codec itself ([`run_to_json`] / [`run_from_json`]) is
-//! hand-rolled and always available (the `serde` *feature* only gates
-//! derive-based serialization of stats types): netlists are recorded as
-//! an exact arena replay — component list in arena order, rebuilt
-//! through the public construction API — so a decoded run is
-//! byte-identical to the encoded one, which is what lets the engine's
-//! warm-disk golden tests compare results bit-for-bit across processes.
+//! The run codec itself ([`run_to_json`] / [`run_from_json`]) stays
+//! hand-written rather than derived, because a binary disk codec is
+//! meant to replace it. Netlists are recorded as an exact arena replay
+//! — component list in arena order, rebuilt through the public
+//! construction API — so a decoded run is byte-identical to the encoded
+//! one, which is what lets the engine's warm-disk golden tests compare
+//! results bit-for-bit across processes.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use serde::{DeError, Deserialize, Value};
+use serde::{object, DeError, Deserialize, Value};
 
 use crate::balance::BalanceReport;
 use crate::buffer_insertion::BufferInsertion;
@@ -77,15 +77,6 @@ pub fn run_from_json(text: &str) -> Result<PipelineRun, DeError> {
 }
 
 // --- value codecs -------------------------------------------------------
-
-fn object(entries: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        entries
-            .into_iter()
-            .map(|(k, v)| (k.to_owned(), v))
-            .collect(),
-    )
-}
 
 fn opt<T>(value: &Option<T>, encode: impl Fn(&T) -> Value) -> Value {
     value.as_ref().map_or(Value::Null, encode)

@@ -314,8 +314,7 @@ pub trait Pass: Sync + Send {
 }
 
 /// Per-pass instrumentation record.
-#[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
+#[derive(Clone, Debug, PartialEq, serde::Serialize)]
 pub struct PassStats {
     /// Pass name.
     pub pass: String,
@@ -730,7 +729,11 @@ impl FlowPipeline {
 }
 
 /// Buffer-insertion strategy selector for [`FlowPipelineBuilder`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+///
+/// Serialized as `"asap"`, `"retimed"`, `"cost_aware"` or
+/// `{"weighted": {…}}`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[serde(rename_all = "snake_case")]
 pub enum BufferStrategy {
     /// Algorithm 1 against ASAP levels (the paper's reference).
     Asap,

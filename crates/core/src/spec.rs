@@ -30,7 +30,7 @@
 use std::fmt;
 
 use mig::EquivalencePolicy;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{object, DeError, Deserialize, Serialize, Value};
 
 use crate::cost::CostTable;
 use crate::flow::FlowConfig;
@@ -67,6 +67,11 @@ pub enum SpecError {
     },
     /// A fan-out restriction limit is outside the paper's §IV range.
     FanoutLimitOutOfRange(u32),
+    /// A weighted pass's delay weights are unusable: a zero buffer
+    /// weight cannot fill any gap, and a weight above
+    /// [`MAX_DELAY_WEIGHT`] overflows arrival times or makes balancing
+    /// insert millions of buffers.
+    DelayWeightsOutOfRange(DelayWeights),
     /// The pipeline uses a cost-aware pass but the spec targets no
     /// technology, so there is no cost model to consult.
     CostAwareWithoutTechnology,
@@ -105,6 +110,12 @@ impl fmt::Display for SpecError {
                 f,
                 "fan-out limit {limit} is outside the feasible range 2..=5 (§IV)"
             ),
+            SpecError::DelayWeightsOutOfRange(w) => write!(
+                f,
+                "delay weights (inv {}, maj {}, buf {}, fog {}) are out of range: buf must be \
+                 at least 1 and every weight at most {MAX_DELAY_WEIGHT}",
+                w.inv, w.maj, w.buf, w.fog
+            ),
             SpecError::CostAwareWithoutTechnology => write!(
                 f,
                 "pipeline uses a cost-aware pass but the spec targets no technology"
@@ -133,7 +144,11 @@ impl std::error::Error for SpecError {}
 /// `MapNotFirst` / `DuplicateMap` mistakes — though a rewrite listed
 /// *after* a netlist pass still fails compilation with
 /// [`PipelineError::RewriteAfterMap`]).
-#[derive(Clone, Debug, PartialEq)]
+///
+/// Serialized as `{"pass": "restrict_fanout", "limit": 3}`: the snake
+/// case pass name, then the variant's fields.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "pass", rename_all = "snake_case")]
 pub enum PassSpec {
     /// Depth-oriented MIG rewrite (Ω.A/Ω.D, `mig::optimize_depth`);
     /// must precede every netlist pass.
@@ -163,6 +178,7 @@ pub enum PassSpec {
     /// area under the run's cost model.
     RestrictFanoutCostAware,
     /// Buffer insertion with the chosen strategy.
+    #[serde(field = "strategy")]
     InsertBuffers(BufferStrategy),
     /// Unit-delay balance verification (plus the fan-out bound when
     /// given).
@@ -171,6 +187,7 @@ pub enum PassSpec {
         fanout_limit: Option<u32>,
     },
     /// Weighted-delay balance verification.
+    #[serde(field = "weights")]
     VerifyWeighted(DelayWeights),
     /// Cost-aware balance verification against the run's cost model.
     VerifyCostAware {
@@ -214,7 +231,7 @@ impl PassSpec {
 /// [`PipelineSpec::build`]; two specs that compile to the same passes
 /// share a [`PipelineSpec::content_hash`], which is the pipeline axis
 /// of the engine's cache key.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct PipelineSpec {
     /// Map with inversion-count minimization instead of the reference
     /// mapping.
@@ -225,9 +242,17 @@ pub struct PipelineSpec {
     /// boundary differentially re-checks the working netlist against
     /// the source MIG under this policy (see
     /// [`crate::differential::check`]); a pass that breaks the function
-    /// fails the run with a counterexample naming it.
+    /// fails the run with a counterexample naming it. Omitted from the
+    /// JSON when off, so ungated specs keep their content hashes.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub equivalence_gate: Option<EquivalencePolicy>,
 }
+
+/// Largest per-kind delay weight, in clock phases, that
+/// [`PipelineSpec::validate`] accepts. Table I's largest weight is QCA's
+/// inverter at 7; the bound keeps weighted arrivals, and the buffers
+/// balancing inserts, within a small multiple of the unit-delay flow's.
+pub const MAX_DELAY_WEIGHT: u32 = 16;
 
 /// Largest exhaustive ceiling [`FlowSpec::validate`] accepts for the
 /// equivalence gate — 2^24 patterns per pass boundary is already ~256k
@@ -349,19 +374,34 @@ impl PipelineSpec {
     }
 
     /// Spec-level validation: restriction limits must be in the
-    /// feasible §IV range (the builder cannot know this — it never sees
-    /// the limit semantics).
+    /// feasible §IV range, and a weighted pass needs a buffer weight of
+    /// at least 1 and every weight at most [`MAX_DELAY_WEIGHT`] (the
+    /// builder cannot know either — it never sees what the numbers
+    /// mean).
     ///
     /// # Errors
     ///
-    /// [`SpecError::FanoutLimitOutOfRange`].
+    /// [`SpecError::FanoutLimitOutOfRange`],
+    /// [`SpecError::DelayWeightsOutOfRange`] or an equivalence-gate
+    /// error.
     pub fn validate(&self) -> Result<(), SpecError> {
         for pass in &self.passes {
-            if let PassSpec::RestrictFanout { limit } | PassSpec::CheckFanoutBound { limit } = pass
-            {
-                if !(2..=5).contains(limit) {
+            match pass {
+                PassSpec::RestrictFanout { limit } | PassSpec::CheckFanoutBound { limit }
+                    if !(2..=5).contains(limit) =>
+                {
                     return Err(SpecError::FanoutLimitOutOfRange(*limit));
                 }
+                PassSpec::InsertBuffers(BufferStrategy::Weighted(w))
+                | PassSpec::VerifyWeighted(w)
+                    if w.buf == 0
+                        || [w.inv, w.maj, w.buf, w.fog]
+                            .iter()
+                            .any(|&x| x > MAX_DELAY_WEIGHT) =>
+                {
+                    return Err(SpecError::DelayWeightsOutOfRange(*w));
+                }
+                _ => {}
             }
         }
         if let Some(gate) = &self.equivalence_gate {
@@ -576,19 +616,21 @@ impl CircuitSpec {
 /// without code. `None` fields keep the engine defaults; the
 /// `WAVEPIPE_CACHE_CAPACITY` / `WAVEPIPE_CACHE_DIR` environment knobs
 /// override both (see [`crate::Engine::for_spec`]).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheSpec {
     /// In-memory LRU entry bound; `Some(0)` disables caching.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub capacity: Option<usize>,
     /// Disk-cache root; the literal `default` means the engine's
     /// `results/cache/` default root.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub dir: Option<String>,
 }
 
 /// A complete, serializable experiment description: pipeline ×
 /// technologies × circuits. See the [module docs](self) for the
 /// round-trip guarantee and [`crate::Engine::run`] for execution.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct FlowSpec {
     /// Experiment name (shows up in results and traces).
     pub name: String,
@@ -602,6 +644,7 @@ pub struct FlowSpec {
     /// Cache configuration for [`crate::Engine::for_spec`]; `None`
     /// keeps the engine defaults (and keeps the spec's JSON and content
     /// hash exactly as they were before this field existed).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub cache: Option<CacheSpec>,
 }
 
@@ -763,196 +806,8 @@ pub(crate) fn hash_value(value: &Value, h: &mut Fnv) {
     }
 }
 
-// --- serde: hand-rolled because the vendored mini-serde derive cannot
-// --- express data-carrying enums (see vendor/serde_derive).
-
-fn object(entries: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        entries
-            .into_iter()
-            .map(|(k, v)| (k.to_owned(), v))
-            .collect(),
-    )
-}
-
-impl Serialize for BufferStrategy {
-    fn to_value(&self) -> Value {
-        match self {
-            BufferStrategy::Asap => Value::Str("asap".to_owned()),
-            BufferStrategy::Retimed => Value::Str("retimed".to_owned()),
-            BufferStrategy::CostAware => Value::Str("cost_aware".to_owned()),
-            BufferStrategy::Weighted(weights) => object(vec![("weighted", weights.to_value())]),
-        }
-    }
-}
-
-impl Deserialize for BufferStrategy {
-    fn from_value(value: &Value) -> Result<BufferStrategy, DeError> {
-        match value {
-            Value::Str(s) => match s.as_str() {
-                "asap" => Ok(BufferStrategy::Asap),
-                "retimed" => Ok(BufferStrategy::Retimed),
-                "cost_aware" => Ok(BufferStrategy::CostAware),
-                other => Err(DeError(format!("unknown buffer strategy `{other}`"))),
-            },
-            Value::Object(entries) => {
-                let weights = serde::field(entries, "weighted")?;
-                Ok(BufferStrategy::Weighted(Deserialize::from_value(weights)?))
-            }
-            _ => Err(DeError::expected("buffer strategy")),
-        }
-    }
-}
-
-impl Serialize for PassSpec {
-    fn to_value(&self) -> Value {
-        match self {
-            PassSpec::OptimizeDepth { max_rounds } => object(vec![
-                ("pass", Value::Str("optimize_depth".to_owned())),
-                ("max_rounds", (*max_rounds as u64).to_value()),
-            ]),
-            PassSpec::OptimizeSize { max_rounds } => object(vec![
-                ("pass", Value::Str("optimize_size".to_owned())),
-                ("max_rounds", (*max_rounds as u64).to_value()),
-            ]),
-            PassSpec::OptimizeCostAware { max_rounds } => object(vec![
-                ("pass", Value::Str("optimize_cost_aware".to_owned())),
-                ("max_rounds", (*max_rounds as u64).to_value()),
-            ]),
-            PassSpec::RestrictFanout { limit } => object(vec![
-                ("pass", Value::Str("restrict_fanout".to_owned())),
-                ("limit", limit.to_value()),
-            ]),
-            PassSpec::RestrictFanoutCostAware => object(vec![(
-                "pass",
-                Value::Str("restrict_fanout_cost_aware".to_owned()),
-            )]),
-            PassSpec::InsertBuffers(strategy) => object(vec![
-                ("pass", Value::Str("insert_buffers".to_owned())),
-                ("strategy", strategy.to_value()),
-            ]),
-            PassSpec::Verify { fanout_limit } => object(vec![
-                ("pass", Value::Str("verify".to_owned())),
-                ("fanout_limit", fanout_limit.to_value()),
-            ]),
-            PassSpec::VerifyWeighted(weights) => object(vec![
-                ("pass", Value::Str("verify_weighted".to_owned())),
-                ("weights", weights.to_value()),
-            ]),
-            PassSpec::VerifyCostAware { fanout_limit } => object(vec![
-                ("pass", Value::Str("verify_cost_aware".to_owned())),
-                ("fanout_limit", fanout_limit.to_value()),
-            ]),
-            PassSpec::CheckFanoutBound { limit } => object(vec![
-                ("pass", Value::Str("check_fanout_bound".to_owned())),
-                ("limit", limit.to_value()),
-            ]),
-        }
-    }
-}
-
-impl Deserialize for PassSpec {
-    fn from_value(value: &Value) -> Result<PassSpec, DeError> {
-        let entries = value
-            .as_object()
-            .ok_or_else(|| DeError::expected("object for PassSpec"))?;
-        let tag: String = Deserialize::from_value(serde::field(entries, "pass")?)?;
-        let max_rounds = |entries: &[(String, Value)]| -> Result<usize, DeError> {
-            let rounds: u64 = Deserialize::from_value(serde::field(entries, "max_rounds")?)?;
-            Ok(rounds as usize)
-        };
-        match tag.as_str() {
-            "optimize_depth" => Ok(PassSpec::OptimizeDepth {
-                max_rounds: max_rounds(entries)?,
-            }),
-            "optimize_size" => Ok(PassSpec::OptimizeSize {
-                max_rounds: max_rounds(entries)?,
-            }),
-            "optimize_cost_aware" => Ok(PassSpec::OptimizeCostAware {
-                max_rounds: max_rounds(entries)?,
-            }),
-            "restrict_fanout" => Ok(PassSpec::RestrictFanout {
-                limit: Deserialize::from_value(serde::field(entries, "limit")?)?,
-            }),
-            "restrict_fanout_cost_aware" => Ok(PassSpec::RestrictFanoutCostAware),
-            "insert_buffers" => Ok(PassSpec::InsertBuffers(Deserialize::from_value(
-                serde::field(entries, "strategy")?,
-            )?)),
-            "verify" => Ok(PassSpec::Verify {
-                fanout_limit: Deserialize::from_value(serde::field(entries, "fanout_limit")?)?,
-            }),
-            "verify_weighted" => Ok(PassSpec::VerifyWeighted(Deserialize::from_value(
-                serde::field(entries, "weights")?,
-            )?)),
-            "verify_cost_aware" => Ok(PassSpec::VerifyCostAware {
-                fanout_limit: Deserialize::from_value(serde::field(entries, "fanout_limit")?)?,
-            }),
-            "check_fanout_bound" => Ok(PassSpec::CheckFanoutBound {
-                limit: Deserialize::from_value(serde::field(entries, "limit")?)?,
-            }),
-            other => Err(DeError(format!("unknown pass `{other}`"))),
-        }
-    }
-}
-
-/// Value form of an [`EquivalencePolicy`] (free functions instead of
-/// trait impls: the policy type lives in the `mig` crate, so the orphan
-/// rule forbids implementing the vendored serde traits for it here).
-fn policy_to_value(policy: &EquivalencePolicy) -> Value {
-    object(vec![
-        ("exhaustive_inputs", policy.exhaustive_inputs.to_value()),
-        ("rounds", (policy.rounds as u64).to_value()),
-        ("seed", policy.seed.to_value()),
-    ])
-}
-
-fn policy_from_value(value: &Value) -> Result<EquivalencePolicy, DeError> {
-    let entries = value
-        .as_object()
-        .ok_or_else(|| DeError::expected("object for EquivalencePolicy"))?;
-    let rounds: u64 = Deserialize::from_value(serde::field(entries, "rounds")?)?;
-    Ok(EquivalencePolicy {
-        exhaustive_inputs: Deserialize::from_value(serde::field(entries, "exhaustive_inputs")?)?,
-        rounds: rounds as usize,
-        seed: Deserialize::from_value(serde::field(entries, "seed")?)?,
-    })
-}
-
-impl Serialize for PipelineSpec {
-    fn to_value(&self) -> Value {
-        let mut entries = vec![
-            ("minimize_inverters", self.minimize_inverters.to_value()),
-            ("passes", self.passes.to_value()),
-        ];
-        // Omitted when off, so ungated specs (and their content hashes)
-        // serialize exactly as they did before the gate existed.
-        if let Some(policy) = &self.equivalence_gate {
-            entries.push(("equivalence_gate", policy_to_value(policy)));
-        }
-        object(entries)
-    }
-}
-
-impl Deserialize for PipelineSpec {
-    fn from_value(value: &Value) -> Result<PipelineSpec, DeError> {
-        let entries = value
-            .as_object()
-            .ok_or_else(|| DeError::expected("object for PipelineSpec"))?;
-        let equivalence_gate = match serde::field(entries, "equivalence_gate") {
-            Ok(Value::Null) | Err(_) => None,
-            Ok(v) => Some(policy_from_value(v)?),
-        };
-        Ok(PipelineSpec {
-            minimize_inverters: Deserialize::from_value(serde::field(
-                entries,
-                "minimize_inverters",
-            )?)?,
-            passes: Deserialize::from_value(serde::field(entries, "passes")?)?,
-            equivalence_gate,
-        })
-    }
-}
-
+// Hand-written: decoding sorts the parameters into canonical order and
+// rejects duplicate keys of untrusted input.
 impl Serialize for SynthSpec {
     fn to_value(&self) -> Value {
         object(vec![
@@ -998,6 +853,8 @@ impl Deserialize for SynthSpec {
     }
 }
 
+// Hand-written: the three kinds are told apart by shape (a bare name,
+// an inline `{"name", "mig"}` object or a `{"synth": …}` object).
 impl Serialize for CircuitSpec {
     fn to_value(&self) -> Value {
         match self {
@@ -1027,72 +884,6 @@ impl Deserialize for CircuitSpec {
                 "circuit name, inline object or synth object",
             )),
         }
-    }
-}
-
-impl Serialize for CacheSpec {
-    fn to_value(&self) -> Value {
-        let mut entries = Vec::new();
-        if let Some(capacity) = self.capacity {
-            entries.push(("capacity", (capacity as u64).to_value()));
-        }
-        if let Some(dir) = &self.dir {
-            entries.push(("dir", dir.to_value()));
-        }
-        object(entries)
-    }
-}
-
-impl Deserialize for CacheSpec {
-    fn from_value(value: &Value) -> Result<CacheSpec, DeError> {
-        let entries = value
-            .as_object()
-            .ok_or_else(|| DeError::expected("object for CacheSpec"))?;
-        let capacity = match serde::field(entries, "capacity") {
-            Ok(Value::Null) | Err(_) => None,
-            Ok(v) => Some(Deserialize::from_value(v)?),
-        };
-        let dir = match serde::field(entries, "dir") {
-            Ok(Value::Null) | Err(_) => None,
-            Ok(v) => Some(Deserialize::from_value(v)?),
-        };
-        Ok(CacheSpec { capacity, dir })
-    }
-}
-
-impl Serialize for FlowSpec {
-    fn to_value(&self) -> Value {
-        let mut entries = vec![
-            ("name", self.name.to_value()),
-            ("pipeline", self.pipeline.to_value()),
-            ("technologies", self.technologies.to_value()),
-            ("circuits", self.circuits.to_value()),
-        ];
-        // Omitted when unset, so cache-less specs (and their content
-        // hashes) serialize exactly as they did before the knob existed.
-        if let Some(cache) = &self.cache {
-            entries.push(("cache", cache.to_value()));
-        }
-        object(entries)
-    }
-}
-
-impl Deserialize for FlowSpec {
-    fn from_value(value: &Value) -> Result<FlowSpec, DeError> {
-        let entries = value
-            .as_object()
-            .ok_or_else(|| DeError::expected("object for FlowSpec"))?;
-        let cache = match serde::field(entries, "cache") {
-            Ok(Value::Null) | Err(_) => None,
-            Ok(v) => Some(Deserialize::from_value(v)?),
-        };
-        Ok(FlowSpec {
-            name: Deserialize::from_value(serde::field(entries, "name")?)?,
-            pipeline: Deserialize::from_value(serde::field(entries, "pipeline")?)?,
-            technologies: Deserialize::from_value(serde::field(entries, "technologies")?)?,
-            circuits: Deserialize::from_value(serde::field(entries, "circuits")?)?,
-            cache,
-        })
     }
 }
 
@@ -1256,6 +1047,46 @@ mod tests {
             Err(SpecError::CostAwareWithoutTechnology)
         );
         assert_eq!(full_spec().validate(), Ok(()));
+    }
+
+    #[test]
+    fn delay_weights_are_bounded() {
+        let weighted = |w: DelayWeights| {
+            [
+                PipelineSpec::map(false).insert_buffers(BufferStrategy::Weighted(w)),
+                PipelineSpec::map(false).verify_weighted(w),
+            ]
+        };
+        let huge = DelayWeights {
+            inv: u32::MAX,
+            maj: u32::MAX,
+            ..DelayWeights::UNIT
+        };
+        let no_buf = DelayWeights {
+            buf: 0,
+            ..DelayWeights::QCA
+        };
+        let just_over = DelayWeights {
+            fog: MAX_DELAY_WEIGHT + 1,
+            ..DelayWeights::UNIT
+        };
+        for w in [huge, no_buf, just_over] {
+            for pipeline in weighted(w) {
+                assert_eq!(
+                    pipeline.validate(),
+                    Err(SpecError::DelayWeightsOutOfRange(w))
+                );
+            }
+        }
+        let at_max = DelayWeights {
+            inv: MAX_DELAY_WEIGHT,
+            ..DelayWeights::UNIT
+        };
+        for w in [DelayWeights::QCA, DelayWeights::NML, at_max] {
+            for pipeline in weighted(w) {
+                assert_eq!(pipeline.validate(), Ok(()));
+            }
+        }
     }
 
     #[test]

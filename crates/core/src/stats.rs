@@ -99,8 +99,7 @@ impl fmt::Display for Schedule {
 
 /// Summary of how a netlist changed through the flow, per kind — the
 /// per-benchmark row behind Fig 8.
-#[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct GrowthReport {
     /// Original priced size.
     pub original_size: usize,

@@ -82,8 +82,7 @@ impl Default for DelayWeights {
 }
 
 /// Statistics of a weighted balancing run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct WeightedInsertion {
     /// Buffers inserted.
     pub buffers: usize,

@@ -50,8 +50,7 @@ impl FanoutHistogram {
 }
 
 /// One-line summary of a graph, as used in benchmark tables.
-#[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct GraphStats {
     /// Model name.
     pub name: String,

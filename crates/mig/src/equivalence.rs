@@ -101,7 +101,7 @@ pub const DEFAULT_SEED: u64 = 0xDA7E_2017;
 
 /// How hard a differential check works: exhaustive up to a ceiling,
 /// seeded stratified sampling beyond.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct EquivalencePolicy {
     /// Functions with at most this many inputs are checked exhaustively
     /// (all `2^n` patterns, swept in 64-wide blocks). Cost doubles per

@@ -26,7 +26,7 @@
 //! *streaming* (a slow client may have them shed under backpressure —
 //! see the server docs); terminal events are always delivered.
 
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{object, DeError, Deserialize, Serialize, Value};
 use wavepipe::{EngineCell, EngineRun, EngineStats, FlowSpec};
 
 use crate::server::ServeConfig;
@@ -35,7 +35,8 @@ use crate::server::ServeConfig;
 pub const PROTOCOL_VERSION: u64 = 1;
 
 /// A control verb (a request line with `"control"` instead of `"spec"`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
 pub enum Control {
     /// Liveness probe; answered with a `pong` event.
     Ping,
@@ -46,41 +47,15 @@ pub enum Control {
     Shutdown,
 }
 
-impl Control {
-    fn tag(self) -> &'static str {
-        match self {
-            Control::Ping => "ping",
-            Control::Stats => "stats",
-            Control::Shutdown => "shutdown",
-        }
-    }
-
-    fn parse(tag: &str) -> Result<Control, DeError> {
-        match tag {
-            "ping" => Ok(Control::Ping),
-            "stats" => Ok(Control::Stats),
-            "shutdown" => Ok(Control::Shutdown),
-            other => Err(DeError(format!("unknown control verb `{other}`"))),
-        }
-    }
-}
-
-/// One request line.
+/// One request line. The line codecs stay hand-written because the
+/// wire puts `id` before the tag; they call the derived codecs for the
+/// nested values.
 #[derive(Debug)]
 pub enum Request {
     /// Execute a spec on the shared engine.
     Run { id: u64, spec: FlowSpec },
     /// A control verb.
     Control { id: u64, control: Control },
-}
-
-fn object(entries: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        entries
-            .into_iter()
-            .map(|(k, v)| (k.to_owned(), v))
-            .collect(),
-    )
 }
 
 fn compact(value: &Value) -> String {
@@ -91,13 +66,12 @@ impl Request {
     /// Serializes to one compact JSON line (no trailing newline).
     pub fn to_line(&self) -> String {
         match self {
-            Request::Run { id, spec } => compact(&object(vec![
-                ("id", Value::UInt(*id)),
-                ("spec", spec.to_value()),
-            ])),
-            Request::Control { id, control } => compact(&object(vec![
-                ("id", Value::UInt(*id)),
-                ("control", Value::Str(control.tag().to_owned())),
+            Request::Run { id, spec } => {
+                compact(&object([("id", id.to_value()), ("spec", spec.to_value())]))
+            }
+            Request::Control { id, control } => compact(&object([
+                ("id", id.to_value()),
+                ("control", control.to_value()),
             ])),
         }
     }
@@ -119,11 +93,8 @@ impl Request {
             return Ok(Request::Run { id, spec });
         }
         if let Ok(control) = serde::field(fields, "control") {
-            let tag: String = Deserialize::from_value(control)?;
-            return Ok(Request::Control {
-                id,
-                control: Control::parse(&tag)?,
-            });
+            let control = Control::from_value(control)?;
+            return Ok(Request::Control { id, control });
         }
         Err(DeError::expected("`spec` or `control` in request"))
     }
@@ -131,7 +102,7 @@ impl Request {
 
 /// Server-side counters reported by the `stats` control and the
 /// daemon's shutdown summary.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ServeMetrics {
     /// Run requests accepted off the wire.
     pub requests: u64,
@@ -153,98 +124,6 @@ pub struct ServeMetrics {
     pub clients: u64,
     /// Engine counter snapshot (cumulative).
     pub engine: EngineStats,
-}
-
-pub(crate) fn stats_to_value(stats: &EngineStats) -> Value {
-    object(vec![
-        ("cache_hits", Value::UInt(stats.cache_hits)),
-        ("cache_misses", Value::UInt(stats.cache_misses)),
-        ("passes_executed", Value::UInt(stats.passes_executed)),
-        ("cones_reused", Value::UInt(stats.cones_reused)),
-        ("cones_recomputed", Value::UInt(stats.cones_recomputed)),
-        ("disk_hits", Value::UInt(stats.disk_hits)),
-        ("disk_misses", Value::UInt(stats.disk_misses)),
-        ("evictions", Value::UInt(stats.evictions)),
-    ])
-}
-
-pub(crate) fn stats_from_value(value: &Value) -> Result<EngineStats, DeError> {
-    let fields = value
-        .as_object()
-        .ok_or_else(|| DeError::expected("engine stats object"))?;
-    let counter = |name: &str| -> Result<u64, DeError> {
-        Deserialize::from_value(serde::field(fields, name)?)
-    };
-    Ok(EngineStats {
-        cache_hits: counter("cache_hits")?,
-        cache_misses: counter("cache_misses")?,
-        passes_executed: counter("passes_executed")?,
-        cones_reused: counter("cones_reused")?,
-        cones_recomputed: counter("cones_recomputed")?,
-        disk_hits: counter("disk_hits")?,
-        disk_misses: counter("disk_misses")?,
-        evictions: counter("evictions")?,
-    })
-}
-
-fn config_to_value(config: &ServeConfig) -> Value {
-    object(vec![
-        ("workers", Value::UInt(config.workers as u64)),
-        ("queue_depth", Value::UInt(config.queue_depth as u64)),
-        ("client_queue", Value::UInt(config.client_queue as u64)),
-        ("shed_slow_clients", Value::Bool(config.shed_slow_clients)),
-    ])
-}
-
-fn config_from_value(value: &Value) -> Result<ServeConfig, DeError> {
-    let fields = value
-        .as_object()
-        .ok_or_else(|| DeError::expected("serve config object"))?;
-    let size = |name: &str| -> Result<usize, DeError> {
-        Deserialize::from_value(serde::field(fields, name)?)
-    };
-    Ok(ServeConfig {
-        workers: size("workers")?,
-        queue_depth: size("queue_depth")?,
-        client_queue: size("client_queue")?,
-        shed_slow_clients: Deserialize::from_value(serde::field(fields, "shed_slow_clients")?)?,
-    })
-}
-
-fn metrics_to_value(metrics: &ServeMetrics) -> Value {
-    object(vec![
-        ("requests", Value::UInt(metrics.requests)),
-        ("completed", Value::UInt(metrics.completed)),
-        ("failed", Value::UInt(metrics.failed)),
-        ("rejected", Value::UInt(metrics.rejected)),
-        ("coalesced", Value::UInt(metrics.coalesced)),
-        ("executed", Value::UInt(metrics.executed)),
-        ("cells_streamed", Value::UInt(metrics.cells_streamed)),
-        ("cells_shed", Value::UInt(metrics.cells_shed)),
-        ("clients", Value::UInt(metrics.clients)),
-        ("engine", stats_to_value(&metrics.engine)),
-    ])
-}
-
-fn metrics_from_value(value: &Value) -> Result<ServeMetrics, DeError> {
-    let fields = value
-        .as_object()
-        .ok_or_else(|| DeError::expected("serve metrics object"))?;
-    let counter = |name: &str| -> Result<u64, DeError> {
-        Deserialize::from_value(serde::field(fields, name)?)
-    };
-    Ok(ServeMetrics {
-        requests: counter("requests")?,
-        completed: counter("completed")?,
-        failed: counter("failed")?,
-        rejected: counter("rejected")?,
-        coalesced: counter("coalesced")?,
-        executed: counter("executed")?,
-        cells_streamed: counter("cells_streamed")?,
-        cells_shed: counter("cells_shed")?,
-        clients: counter("clients")?,
-        engine: stats_from_value(serde::field(fields, "engine")?)?,
-    })
 }
 
 /// One response line.
@@ -303,23 +182,12 @@ pub enum Event {
     ShuttingDown { id: u64 },
 }
 
-fn opt_u64(value: Option<u64>) -> Value {
-    value.map_or(Value::Null, Value::UInt)
-}
-
-fn from_opt_u64(value: &Value) -> Result<Option<u64>, DeError> {
-    match value {
-        Value::Null => Ok(None),
-        other => Deserialize::from_value(other).map(Some),
-    }
-}
-
 impl Event {
-    /// Serializes to one compact JSON line (no trailing newline).
+    /// Serializes to one compact JSON line (no trailing newline): `id`,
+    /// then the `event` tag, then the variant's fields.
     pub fn to_line(&self) -> String {
-        let value = match self {
+        let (event, fields) = match self {
             Event::Cell {
-                id,
                 circuit,
                 technology,
                 cached,
@@ -330,74 +198,56 @@ impl Event {
                 components,
                 passes,
                 error,
-            } => object(vec![
-                ("id", Value::UInt(*id)),
-                ("event", Value::Str("cell".to_owned())),
-                ("circuit", Value::UInt(*circuit)),
-                ("technology", opt_u64(*technology)),
-                ("cached", Value::Bool(*cached)),
-                ("ok", Value::Bool(*ok)),
-                ("depth", opt_u64(*depth)),
-                ("waves_in_flight", opt_u64(*waves_in_flight)),
-                ("max_fanout", opt_u64(*max_fanout)),
-                ("components", opt_u64(*components)),
-                ("passes", Value::UInt(*passes)),
-                (
-                    "error",
-                    error
-                        .as_ref()
-                        .map_or(Value::Null, |e| Value::Str(e.clone())),
-                ),
-            ]),
+                ..
+            } => (
+                "cell",
+                vec![
+                    ("circuit", circuit.to_value()),
+                    ("technology", technology.to_value()),
+                    ("cached", cached.to_value()),
+                    ("ok", ok.to_value()),
+                    ("depth", depth.to_value()),
+                    ("waves_in_flight", waves_in_flight.to_value()),
+                    ("max_fanout", max_fanout.to_value()),
+                    ("components", components.to_value()),
+                    ("passes", passes.to_value()),
+                    ("error", error.to_value()),
+                ],
+            ),
             Event::Done {
-                id,
                 cells,
                 failed,
                 coalesced,
                 circuits,
                 technologies,
                 stats,
-            } => object(vec![
-                ("id", Value::UInt(*id)),
-                ("event", Value::Str("done".to_owned())),
-                ("cells", Value::UInt(*cells)),
-                ("failed", Value::UInt(*failed)),
-                ("coalesced", Value::Bool(*coalesced)),
-                (
-                    "circuits",
-                    Value::Array(circuits.iter().map(|c| Value::Str(c.clone())).collect()),
-                ),
-                (
-                    "technologies",
-                    Value::Array(technologies.iter().map(|t| Value::Str(t.clone())).collect()),
-                ),
-                ("stats", stats_to_value(stats)),
-            ]),
-            Event::Error { id, message } => object(vec![
-                ("id", Value::UInt(*id)),
-                ("event", Value::Str("error".to_owned())),
-                ("message", Value::Str(message.clone())),
-            ]),
-            Event::Pong { id } => object(vec![
-                ("id", Value::UInt(*id)),
-                ("event", Value::Str("pong".to_owned())),
-            ]),
+                ..
+            } => (
+                "done",
+                vec![
+                    ("cells", cells.to_value()),
+                    ("failed", failed.to_value()),
+                    ("coalesced", coalesced.to_value()),
+                    ("circuits", circuits.to_value()),
+                    ("technologies", technologies.to_value()),
+                    ("stats", stats.to_value()),
+                ],
+            ),
+            Event::Error { message, .. } => ("error", vec![("message", message.to_value())]),
+            Event::Pong { .. } => ("pong", vec![]),
             Event::Stats {
-                id,
-                config,
-                metrics,
-            } => object(vec![
-                ("id", Value::UInt(*id)),
-                ("event", Value::Str("stats".to_owned())),
-                ("config", config_to_value(config)),
-                ("metrics", metrics_to_value(metrics)),
-            ]),
-            Event::ShuttingDown { id } => object(vec![
-                ("id", Value::UInt(*id)),
-                ("event", Value::Str("shutting_down".to_owned())),
-            ]),
+                config, metrics, ..
+            } => (
+                "stats",
+                vec![
+                    ("config", config.to_value()),
+                    ("metrics", metrics.to_value()),
+                ],
+            ),
+            Event::ShuttingDown { .. } => ("shutting_down", vec![]),
         };
-        compact(&value)
+        let head = [("id", self.id().to_value()), ("event", event.to_value())];
+        compact(&object(head.into_iter().chain(fields)))
     }
 
     /// Parses one response line.
@@ -410,46 +260,44 @@ impl Event {
         let fields = value
             .as_object()
             .ok_or_else(|| DeError::expected("event object"))?;
-        let id: u64 = Deserialize::from_value(serde::field(fields, "id")?)?;
-        let event: String = Deserialize::from_value(serde::field(fields, "event")?)?;
+        let get = |name: &str| serde::field(fields, name);
+        let id: u64 = Deserialize::from_value(get("id")?)?;
+        let event: String = Deserialize::from_value(get("event")?)?;
         match event.as_str() {
             "cell" => Ok(Event::Cell {
                 id,
-                circuit: Deserialize::from_value(serde::field(fields, "circuit")?)?,
-                technology: from_opt_u64(serde::field(fields, "technology")?)?,
-                cached: Deserialize::from_value(serde::field(fields, "cached")?)?,
-                ok: Deserialize::from_value(serde::field(fields, "ok")?)?,
-                depth: from_opt_u64(serde::field(fields, "depth")?)?,
-                waves_in_flight: from_opt_u64(serde::field(fields, "waves_in_flight")?)?,
-                max_fanout: from_opt_u64(serde::field(fields, "max_fanout")?)?,
-                components: from_opt_u64(serde::field(fields, "components")?)?,
-                passes: Deserialize::from_value(serde::field(fields, "passes")?)?,
-                error: match serde::field(fields, "error")? {
-                    Value::Null => None,
-                    other => Some(Deserialize::from_value(other)?),
-                },
+                circuit: Deserialize::from_value(get("circuit")?)?,
+                technology: Deserialize::from_value(get("technology")?)?,
+                cached: Deserialize::from_value(get("cached")?)?,
+                ok: Deserialize::from_value(get("ok")?)?,
+                depth: Deserialize::from_value(get("depth")?)?,
+                waves_in_flight: Deserialize::from_value(get("waves_in_flight")?)?,
+                max_fanout: Deserialize::from_value(get("max_fanout")?)?,
+                components: Deserialize::from_value(get("components")?)?,
+                passes: Deserialize::from_value(get("passes")?)?,
+                error: Deserialize::from_value(get("error")?)?,
             }),
             "done" => Ok(Event::Done {
                 id,
-                cells: Deserialize::from_value(serde::field(fields, "cells")?)?,
-                failed: Deserialize::from_value(serde::field(fields, "failed")?)?,
-                coalesced: Deserialize::from_value(serde::field(fields, "coalesced")?)?,
-                circuits: Deserialize::from_value(serde::field(fields, "circuits")?)?,
-                technologies: Deserialize::from_value(serde::field(fields, "technologies")?)?,
-                stats: stats_from_value(serde::field(fields, "stats")?)?,
+                cells: Deserialize::from_value(get("cells")?)?,
+                failed: Deserialize::from_value(get("failed")?)?,
+                coalesced: Deserialize::from_value(get("coalesced")?)?,
+                circuits: Deserialize::from_value(get("circuits")?)?,
+                technologies: Deserialize::from_value(get("technologies")?)?,
+                stats: Deserialize::from_value(get("stats")?)?,
             }),
             "error" => Ok(Event::Error {
                 id,
-                message: Deserialize::from_value(serde::field(fields, "message")?)?,
+                message: Deserialize::from_value(get("message")?)?,
             }),
             "pong" => Ok(Event::Pong { id }),
             "stats" => Ok(Event::Stats {
                 id,
-                config: config_from_value(serde::field(fields, "config")?)?,
-                metrics: metrics_from_value(serde::field(fields, "metrics")?)?,
+                config: Deserialize::from_value(get("config")?)?,
+                metrics: Deserialize::from_value(get("metrics")?)?,
             }),
             "shutting_down" => Ok(Event::ShuttingDown { id }),
-            other => Err(DeError(format!("unknown event `{other}`"))),
+            other => Err(DeError::unknown_variant("Event", other)),
         }
     }
 

@@ -43,7 +43,7 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Daemon tuning knobs. Every field has a `WAVEPIPE_SERVE_*`
 /// environment override — see [`ServeConfig::from_env`].
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, serde::Serialize, serde::Deserialize)]
 pub struct ServeConfig {
     /// Worker threads executing specs (`WAVEPIPE_SERVE_WORKERS`).
     pub workers: usize,
@@ -567,9 +567,13 @@ mod tests {
     }
 
     fn start_server() -> Server {
+        start_server_with_workers(2)
+    }
+
+    fn start_server_with_workers(workers: usize) -> Server {
         let engine = Arc::new(Engine::new().with_resolver(benchsuite::build_mig));
         let config = ServeConfig {
-            workers: 2,
+            workers,
             queue_depth: 16,
             client_queue: 64,
             shed_slow_clients: false,
@@ -673,6 +677,71 @@ mod tests {
             other => panic!("expected an error event, got {other:?}"),
         }
         assert!(matches!(next(), Event::Pong { id: 2 }));
+        server.shutdown();
+    }
+
+    #[test]
+    fn pipelined_runs_collect_in_any_order() {
+        // One worker runs the jobs in queue order, so all of run 1's
+        // events reach the wire before run 2's.
+        let server = start_server_with_workers(1);
+        let mut client = Client::connect(server.local_addr()).expect("connect");
+        for id in [1, 2] {
+            let spec = tiny_spec(&format!("pipelined-{id}"));
+            client.send(&Request::Run { id, spec }).expect("send run");
+        }
+        client
+            .send(&Request::Control {
+                id: 3,
+                control: Control::Ping,
+            })
+            .expect("send ping");
+        // Run 2 first: run 1's events arrive before it and are kept.
+        for id in [2, 1] {
+            let (cells, done) = client.collect_run(id).expect("run completes");
+            assert_eq!(cells.len(), 1, "run {id}'s cell event");
+            assert!(matches!(done, Event::Done { id: got, .. } if got == id));
+        }
+        assert!(matches!(
+            client.read_event().expect("the ping's answer"),
+            Event::Pong { id: 3 }
+        ));
+        server.shutdown();
+    }
+
+    #[test]
+    fn an_out_of_range_weight_gets_an_error_and_the_connection_lives_on() {
+        let server = start_server();
+        let mut client = Client::connect(server.local_addr()).expect("connect");
+        let weights = wavepipe::DelayWeights {
+            inv: u32::MAX,
+            maj: u32::MAX,
+            ..wavepipe::DelayWeights::UNIT
+        };
+        let spec = tiny_spec("overflow").with_pipeline(
+            wavepipe::PipelineSpec::map(false)
+                .insert_buffers(wavepipe::BufferStrategy::Weighted(weights)),
+        );
+        client
+            .send(&Request::Run { id: 1, spec })
+            .expect("send run");
+        match client.collect_run(1).expect("terminal event") {
+            (cells, Event::Error { message, .. }) => {
+                assert!(cells.is_empty());
+                assert!(message.contains("delay weights"), "{message}");
+            }
+            other => panic!("expected an error event, got {other:?}"),
+        }
+        client
+            .send(&Request::Control {
+                id: 2,
+                control: Control::Ping,
+            })
+            .expect("send ping");
+        assert!(matches!(
+            client.read_event().unwrap(),
+            Event::Pong { id: 2 }
+        ));
         server.shutdown();
     }
 

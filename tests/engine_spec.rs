@@ -95,6 +95,40 @@ fn spec_validation_rejects_bad_experiments() {
     ));
 }
 
+/// A spec whose single pass is `pass`, as JSON text.
+fn one_pass_spec_json(pass: &str) -> String {
+    format!(
+        r#"{{"name":"w","pipeline":{{"minimize_inverters":false,"passes":[{pass}]}},
+            "technologies":[],"circuits":["SASC"]}}"#
+    )
+}
+
+#[test]
+fn out_of_range_delay_weights_are_rejected_before_anything_runs() {
+    // Weights that wrap the arrival sums, and a 20000-phase inverter
+    // that would have balancing insert millions of buffers on SASC.
+    let engine = suite_engine();
+    for weights in [
+        r#"{"inv":4294967295,"maj":4294967295,"buf":1,"fog":1}"#,
+        r#"{"inv":20000,"maj":1,"buf":1,"fog":1}"#,
+    ] {
+        for pass in [
+            format!(r#"{{"pass":"insert_buffers","strategy":{{"weighted":{weights}}}}}"#),
+            format!(r#"{{"pass":"verify_weighted","weights":{weights}}}"#),
+        ] {
+            let spec = FlowSpec::from_json(&one_pass_spec_json(&pass)).expect("parses");
+            assert!(
+                matches!(spec.validate(), Err(SpecError::DelayWeightsOutOfRange(_))),
+                "{pass}"
+            );
+            assert!(matches!(
+                engine.run(&spec),
+                Err(FlowError::Spec(SpecError::DelayWeightsOutOfRange(_)))
+            ));
+        }
+    }
+}
+
 #[test]
 fn engine_runs_are_bit_identical_to_run_flow_on_the_suite() {
     // The legacy wrapper and the spec-driven engine must agree exactly,
