@@ -183,4 +183,22 @@ mod tests {
         let d = sample();
         assert_eq!(d.to_string(), "error WP001 [fa @ c7]: path imbalance");
     }
+
+    /// Text reports spell names through `as_str`, JSON through the
+    /// derived codec; every variant must come out the same both ways.
+    #[test]
+    fn as_str_matches_the_derived_codec() {
+        fn same<T: Serialize>(value: T, name: &str) {
+            assert_eq!(
+                serde_json::to_string(&value).unwrap(),
+                format!("\"{name}\"")
+            );
+        }
+        for severity in [Severity::Info, Severity::Warning, Severity::Error] {
+            same(severity, severity.as_str());
+        }
+        for category in [Category::Netlist, Category::Graph, Category::Spec] {
+            same(category, category.as_str());
+        }
+    }
 }

@@ -761,9 +761,8 @@ impl FlowSpec {
 }
 
 /// Feeds a serialized value tree into a hasher, with discriminant tags
-/// so differently-shaped values never collide structurally (also the
-/// disk cache's payload-checksum primitive — see `crate::persist`).
-pub(crate) fn hash_value(value: &Value, h: &mut Fnv) {
+/// so differently-shaped values never collide structurally.
+fn hash_value(value: &Value, h: &mut Fnv) {
     match value {
         Value::Null => h.write(b"n"),
         Value::Bool(b) => {

@@ -23,7 +23,7 @@
 //! [`ServeMetrics`].
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,6 +40,13 @@ use crate::protocol::{cell_event, done_event, Control, Event, Request, ServeMetr
 /// How long the writer thread may block on one socket write before it
 /// declares the client dead and disconnects it.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// The longest request line the reader accepts, newline included.
+/// perfbench's largest request line is 31 KB (a churn circuit inline),
+/// and its whole 70-circuit churn spec would be 1.2 MB. A longer line
+/// gets an `error` event and the connection is closed, so no client can
+/// make the reader buffer without bound.
+pub const MAX_REQUEST_LINE: usize = 16 << 20;
 
 /// Daemon tuning knobs. Every field has a `WAVEPIPE_SERVE_*`
 /// environment override — see [`ServeConfig::from_env`].
@@ -347,13 +354,36 @@ impl Shared {
             let _ = out.flush();
         });
 
-        let reader = BufReader::new(&stream);
-        for line in reader.lines() {
-            let Ok(line) = line else { break };
+        let mut reader = BufReader::new(&stream);
+        let mut buf = Vec::new();
+        loop {
+            buf.clear();
+            let limit = MAX_REQUEST_LINE as u64;
+            match (&mut reader).take(limit).read_until(b'\n', &mut buf) {
+                Ok(0) | Err(_) => break,
+                Ok(_) => {}
+            }
+            if buf.len() == MAX_REQUEST_LINE && !buf.ends_with(b"\n") {
+                sender.send_critical(
+                    Event::Error {
+                        id: 0,
+                        message: format!(
+                            "request line exceeds {MAX_REQUEST_LINE} bytes; closing the connection"
+                        ),
+                    }
+                    .to_line(),
+                );
+                break;
+            }
+            let Ok(line) = std::str::from_utf8(&buf) else {
+                break;
+            };
+            let line = line.strip_suffix('\n').unwrap_or(line);
+            let line = line.strip_suffix('\r').unwrap_or(line);
             if line.trim().is_empty() {
                 continue;
             }
-            match Request::parse(&line) {
+            match Request::parse(line) {
                 Err(e) => sender.send_critical(
                     Event::Error {
                         id: 0,
@@ -677,6 +707,43 @@ mod tests {
             other => panic!("expected an error event, got {other:?}"),
         }
         assert!(matches!(next(), Event::Pong { id: 2 }));
+        server.shutdown();
+    }
+
+    #[test]
+    fn an_oversize_line_gets_an_error_and_the_server_lives_on() {
+        use std::io::{BufRead, BufReader, Write};
+        let server = start_server();
+        let stream = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+        // The server stops reading mid-line, so the write may fail.
+        let mut writer = stream.try_clone().expect("clone");
+        let sender = std::thread::spawn(move || {
+            let _ = writer.write_all(&vec![b' '; MAX_REQUEST_LINE + 1]);
+        });
+        let mut lines = BufReader::new(stream).lines();
+        match Event::parse(&lines.next().unwrap().unwrap()).unwrap() {
+            Event::Error { id: 0, message } => {
+                assert!(message.contains("exceeds"), "{message}");
+            }
+            other => panic!("expected an error event, got {other:?}"),
+        }
+        assert!(
+            lines.next().is_none_or(|line| line.is_err()),
+            "the connection is closed"
+        );
+        sender.join().unwrap();
+
+        let mut client = Client::connect(server.local_addr()).expect("reconnect");
+        client
+            .send(&Request::Control {
+                id: 1,
+                control: Control::Ping,
+            })
+            .expect("send ping");
+        assert!(matches!(
+            client.read_event().unwrap(),
+            Event::Pong { id: 1 }
+        ));
         server.shutdown();
     }
 

@@ -9,7 +9,9 @@
 //! the error text where balancing fails (NML gaps can be indivisible);
 //! the golden file keeps one 32-bit FNV-1a digest per case, one row per
 //! circuit and one column per case. It also pins each case's pipeline
-//! spec content hash and the persist cache version, both cache keys.
+//! spec content hash and the persist cache version, both cache keys,
+//! and the digest of one fixed run's disk entry body, so the entry
+//! layout cannot drift without a version bump.
 //!
 //! On a mismatch the test prints the fresh rows and every differing
 //! case's full rendering.
@@ -87,6 +89,26 @@ fn render_case(outcome: Result<PipelineRun, wavepipe::PassError>) -> String {
     format!("net {netlist:016x} buffers {buffers} weighted {weighted} report {report}")
 }
 
+/// FNV-1a of the binary disk body (`persist::run_to_bytes`) of one
+/// fixed run, with its wall-clock pass times zeroed.
+fn cache_format_digest() -> u64 {
+    let graph = benchsuite::build_mig("synth:dag:1").expect("circuit builds");
+    let pipeline = PipelineSpec::map(false)
+        .restrict_fanout(3)
+        .insert_buffers(BufferStrategy::CostAware)
+        .verify_cost_aware(Some(3))
+        .build()
+        .expect("well-ordered pipeline");
+    let model = Technology::swd().cost_table();
+    let mut run = pipeline
+        .run_with_model(&graph, Some(&model))
+        .expect("sample flow verifies");
+    for stats in &mut run.trace {
+        stats.micros = 0;
+    }
+    fnv1a(&persist::run_to_bytes(&run))
+}
+
 /// The golden text, plus every case's full rendering by (row, column).
 fn render() -> (String, Vec<Vec<String>>) {
     let cases = cases();
@@ -96,8 +118,9 @@ fn render() -> (String, Vec<Vec<String>>) {
         .map(|(_, spec, _)| format!("{:016x}", spec.content_hash()))
         .collect();
     let mut text = format!(
-        "cache_version {}\ncases {}\nspecs {}\n",
+        "cache_version {}\ncache_format {:016x}\ncases {}\nspecs {}\n",
         persist::CACHE_VERSION,
+        cache_format_digest(),
         names.join(" "),
         hashes.join(" ")
     );
@@ -133,7 +156,7 @@ fn every_balancing_strategy_matches_its_golden_digest() {
     }
     let names: Vec<String> = cases().into_iter().map(|(name, _, _)| name).collect();
     let mut report = String::new();
-    for ((got, want), row) in text.lines().skip(3).zip(GOLDEN.lines().skip(3)).zip(&full) {
+    for ((got, want), row) in text.lines().skip(4).zip(GOLDEN.lines().skip(4)).zip(&full) {
         let circuit = got.split(' ').next().unwrap_or_default();
         let columns = got.split(' ').skip(1).zip(want.split(' ').skip(1));
         for (column, (g, w)) in columns.enumerate().filter(|(_, (g, w))| g != w) {

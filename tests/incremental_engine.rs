@@ -217,21 +217,30 @@ fn composed_max_fanout_matches_a_merged_scan() {
     assert_eq!(report.max_fanout, edited.run.result.pipelined.max_fanout());
 }
 
-/// Every way an on-disk entry can rot — truncation mid-JSON, a format
+/// Every way an on-disk entry can rot — truncation mid-entry, a format
 /// version from a different build, a checksum that no longer matches
 /// the payload — must read as a clean miss: the engine recomputes,
 /// produces a bit-identical result, and write-through repairs the
 /// store so the *next* process is served from disk again.
 #[test]
 fn damaged_disk_stores_fall_back_and_self_repair() {
-    type Corruptor = fn(&str) -> String;
+    // Byte offsets of the entry header's fields (see `persist`'s module
+    // docs): the version follows the 14-byte magic, the checksum sits
+    // after the scope and the key triple.
+    const VERSION: std::ops::Range<usize> = 14..22;
+    const CHECKSUM: usize = 54;
+    type Corruptor = fn(&[u8]) -> Vec<u8>;
     let modes: [(&str, Corruptor); 3] = [
-        ("truncated", |s| s[..s.len() / 2].to_owned()),
-        ("version-bumped", |s| {
-            s.replacen("\"version\":1", "\"version\":999", 1)
+        ("truncated", |b| b[..b.len() / 2].to_vec()),
+        ("version-bumped", |b| {
+            let mut b = b.to_vec();
+            b[VERSION].copy_from_slice(&999u64.to_le_bytes());
+            b
         }),
-        ("checksum-corrupted", |s| {
-            s.replacen("\"checksum\":", "\"checksum\":9", 1)
+        ("checksum-corrupted", |b| {
+            let mut b = b.to_vec();
+            b[CHECKSUM] ^= 0x09;
+            b
         }),
     ];
     for (mode, corrupt) in modes {
@@ -244,9 +253,14 @@ fn damaged_disk_stores_fall_back_and_self_repair() {
         let mut damaged = 0;
         for entry in fs::read_dir(&dir).expect("store populated") {
             let path = entry.unwrap().path();
-            let text = fs::read_to_string(&path).unwrap();
-            let rotten = corrupt(&text);
-            assert_ne!(text, rotten, "{mode}: corruption must change the entry");
+            let bytes = fs::read(&path).unwrap();
+            assert_eq!(
+                &bytes[VERSION],
+                persist::CACHE_VERSION.to_le_bytes(),
+                "{mode}: the header layout this test edits"
+            );
+            let rotten = corrupt(&bytes);
+            assert_ne!(bytes, rotten, "{mode}: corruption must change the entry");
             fs::write(&path, rotten).unwrap();
             damaged += 1;
         }
