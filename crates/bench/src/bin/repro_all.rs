@@ -12,60 +12,42 @@
 //! inverter ablation's reference arm. The multi-technology experiments
 //! (Fig 9, Table II) come from **one** circuit × technology grid sweep;
 //! its priced per-(circuit, tech, pass) traces land in
-//! `results/flow_trace.{txt,json}` and the aggregate record — wall time
-//! **and engine cache hit/miss/pass counters per sweep** — in
-//! `results/BENCH_pr3.json`.
+//! `results/flow_trace.{txt,json}`, led by the engine's cache and cone
+//! counters. Timing is measured by the `perfbench` ledger, not here.
 
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
-use std::time::Instant;
 
 use tech::BenchmarkRow;
-use wavepipe::Engine;
 use wavepipe_bench::harness::{
     build_suite, engine, evaluate_suite_grid, fig5_fit, fig5_points, fig7_rows, fig8_data,
     fig9_data, inverter_ablation, retiming_ablation, table2_from_grid,
 };
-use wavepipe_bench::record::{BenchRecord, PassSummary, StageRecord};
 
-/// Times one stage and captures the engine-counter delta it caused.
-fn staged<T>(
-    stages: &mut BTreeMap<String, StageRecord>,
-    engine: &Engine,
-    name: &str,
-    run: impl FnOnce() -> T,
-) -> T {
-    let before = engine.stats();
-    let started = Instant::now();
-    let out = run();
-    stages.insert(
-        name.to_owned(),
-        StageRecord {
-            wall_ms: started.elapsed().as_secs_f64() * 1000.0,
-            engine: engine.stats().since(&before),
-        },
-    );
-    out
+/// Suite totals of one pass under one technology, for the stdout
+/// summary.
+#[derive(Default)]
+struct PassTotal {
+    micros: u64,
+    area_delta: f64,
+    energy_delta: f64,
 }
 
 fn main() {
     let out_dir = Path::new("results");
     fs::create_dir_all(out_dir).expect("create results/");
     let engine = engine();
-    let mut stages: BTreeMap<String, StageRecord> = BTreeMap::new();
 
-    let suite = staged(&mut stages, &engine, "build_suite", || build_suite(None));
+    let suite = build_suite(None);
     println!("built {} benchmarks", suite.len());
 
     // The circuit × technology grid: one cached engine sweep feeds the
     // priced traces, Fig 9 and Table II.
-    let grid = staged(&mut stages, &engine, "grid_sweep", || {
-        evaluate_suite_grid(&engine, &suite)
-    });
+    let grid = evaluate_suite_grid(&engine, &suite);
 
     let mut trace_txt = String::new();
-    let mut pass_totals: BTreeMap<(String, String), PassSummary> = BTreeMap::new();
+    let mut pass_totals: BTreeMap<(String, String), PassTotal> = BTreeMap::new();
     for t in &grid.traces {
         trace_txt.push_str(&format!("--- {} @ {} ---\n", t.circuit, t.technology));
         for pass in &t.trace {
@@ -73,19 +55,11 @@ fn main() {
             trace_txt.push('\n');
             let entry = pass_totals
                 .entry((t.technology.clone(), pass.pass.clone()))
-                .or_insert_with(|| PassSummary {
-                    technology: t.technology.clone(),
-                    pass: pass.pass.clone(),
-                    micros: 0,
-                    area_delta: 0.0,
-                    energy_delta: 0.0,
-                    cycle_time_delta: 0.0,
-                });
+                .or_default();
             entry.micros += pass.micros;
             if let Some(priced) = &pass.priced {
                 entry.area_delta += priced.area_delta();
                 entry.energy_delta += priced.energy_delta();
-                entry.cycle_time_delta += priced.latency_delta();
             }
         }
         trace_txt.push('\n');
@@ -127,11 +101,8 @@ fn main() {
     }
 
     // Fig 5.
-    let (points, fit) = staged(&mut stages, &engine, "fig5", || {
-        let points = fig5_points(&engine, &suite);
-        let fit = fig5_fit(&points);
-        (points, fit)
-    });
+    let points = fig5_points(&engine, &suite);
+    let fit = fig5_fit(&points);
     let mut fig5_txt = String::from("benchmark,size,buffers\n");
     for p in &points {
         fig5_txt.push_str(&format!("{},{},{}\n", p.name, p.size, p.buffers));
@@ -152,7 +123,7 @@ fn main() {
     );
 
     // Fig 7.
-    let rows = staged(&mut stages, &engine, "fig7", || fig7_rows(&engine, &suite));
+    let rows = fig7_rows(&engine, &suite);
     let mut fig7_txt = String::from("benchmark,orig_cp,k2,k3,k4,k5\n");
     for r in &rows {
         fig7_txt.push_str(&format!(
@@ -178,7 +149,7 @@ fn main() {
 
     // Fig 8 (five declarative configs; BUF-only re-served from fig5's
     // cache cells).
-    let f8 = staged(&mut stages, &engine, "fig8", || fig8_data(&engine, &suite));
+    let f8 = fig8_data(&engine, &suite);
     fs::write(
         out_dir.join("fig8.json"),
         serde_json::to_string_pretty(&f8).expect("serialize"),
@@ -239,9 +210,7 @@ fn main() {
 
     // Ablations (the retiming ASAP arm hits the inverter ablation's
     // reference cells).
-    let ablation = staged(&mut stages, &engine, "ablation_retiming", || {
-        retiming_ablation(&engine, &suite)
-    });
+    let ablation = retiming_ablation(&engine, &suite);
     fs::write(
         out_dir.join("ablation_retiming.json"),
         serde_json::to_string_pretty(&ablation).expect("serialize"),
@@ -250,9 +219,7 @@ fn main() {
     let avg_saving = tech::mean(&ablation.iter().map(|r| r.saving()).collect::<Vec<_>>()) * 100.0;
     println!("ablation: retiming saves {avg_saving:.1}% buffers on average");
 
-    let inv = staged(&mut stages, &engine, "ablation_inverters", || {
-        inverter_ablation(&engine, &suite)
-    });
+    let inv = inverter_ablation(&engine, &suite);
     fs::write(
         out_dir.join("ablation_inverters.json"),
         serde_json::to_string_pretty(&inv).expect("serialize"),
@@ -261,22 +228,13 @@ fn main() {
     let avg_inv = tech::mean(&inv.iter().map(|r| r.inv_saving()).collect::<Vec<_>>()) * 100.0;
     println!("ablation: polarity search removes {avg_inv:.1}% of inverters on average");
 
-    // Machine-readable perf-trajectory record.
     let totals = engine.stats();
-    let record = BenchRecord {
-        stages,
-        engine_totals: totals,
-        cached_cells: engine.cached_cells(),
-        passes: pass_totals.into_values().collect(),
-    };
-    fs::write(
-        out_dir.join("BENCH_pr3.json"),
-        serde_json::to_string_pretty(&record).expect("serialize"),
-    )
-    .expect("write BENCH_pr3.json");
     println!(
-        "perf record: results/BENCH_pr3.json (engine: {} hits / {} misses / {} passes, {} cells cached)",
-        totals.cache_hits, totals.cache_misses, totals.passes_executed, engine.cached_cells()
+        "engine: {} hits / {} misses / {} passes, {} cells cached",
+        totals.cache_hits,
+        totals.cache_misses,
+        totals.passes_executed,
+        engine.cached_cells()
     );
 
     println!("\nall results written to {}", out_dir.display());

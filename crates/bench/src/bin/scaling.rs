@@ -1,8 +1,8 @@
-//! Scaling benchmark over the synthetic `dag` family: sweeps the
-//! node-count axis from 10² to 10⁷ through the paper's default flow
-//! (FO3 + BUF + verify) on a cached engine, and writes the
-//! node-count vs throughput and cache-hit curves to
-//! `results/BENCH_pr4.json` (shape: [`ScalingRecord`]).
+//! Scaling sweep over the synthetic `dag` family: runs the node-count
+//! axis from 10² to 10⁷ through the paper's default flow (FO3 + BUF +
+//! verify) on a cached engine and prints the node-count vs throughput
+//! and cache-hit table. It is the one tool that reaches 10⁶–10⁷ nodes;
+//! the `perfbench` ledger measures the paper's workloads.
 //!
 //! ```text
 //! cargo run --release -p wavepipe-bench --bin scaling [-- --max-nodes N]
@@ -14,16 +14,21 @@
 //! miss: generator + every pass executes) and then **warm** (pure
 //! cache hit: zero passes) on the same engine — the warm column is the
 //! cache-hit curve the engine's result cache buys at each scale.
-//! `--max-nodes` truncates the sweep (CI runs the smallest point to
-//! keep the record format alive without paying for 10⁵).
+//! `--max-nodes` truncates the sweep. The run asserts that every warm
+//! re-run is a pure cache hit and that the flow stays near-linear in
+//! circuit size.
 
-use std::fs;
-use std::path::Path;
 use std::time::Instant;
 
-use wavepipe::{FlowConfig, FlowSpec, PipelineSpec, SynthSpec};
+use wavepipe::{FlowSpec, SynthSpec};
 use wavepipe_bench::harness::engine;
-use wavepipe_bench::record::{PassThroughput, ScalingPoint, ScalingRecord};
+
+/// One measured sweep point: what the linearity floor compares.
+struct Point {
+    target_nodes: usize,
+    pipelined_size: usize,
+    cold_wall_ms: f64,
+}
 
 /// The sweep axis: Fig 5's 10²..10⁵ node-count span, log-spaced, with
 /// depth growing like mapped-netlist depth does — extended to 10⁶ and
@@ -55,10 +60,7 @@ fn main() {
         }
     }
 
-    let out_dir = Path::new("results");
-    fs::create_dir_all(out_dir).expect("create results/");
     let engine = engine();
-    let pipeline = PipelineSpec::for_config(FlowConfig::default());
 
     let mut points = Vec::new();
     println!(
@@ -79,11 +81,9 @@ fn main() {
         let name = synth.name();
         let spec = FlowSpec::new("scaling").synthetic_circuit(synth);
 
-        let before = engine.stats();
         let started = Instant::now();
         let cold_run = engine.run(&spec).expect("scaling spec verifies");
         let cold_wall_ms = started.elapsed().as_secs_f64() * 1000.0;
-        let cold = engine.stats().since(&before);
 
         let before = engine.stats();
         let started = Instant::now();
@@ -101,42 +101,24 @@ fn main() {
         // count comes off the run instead of generating the graph a
         // second time just to measure it.
         let gates = run.result.original_counts().maj;
-        let passes: Vec<PassThroughput> = run
-            .trace
-            .iter()
-            .map(|p| PassThroughput {
-                pass: p.pass.clone(),
-                micros: p.micros,
-                nodes_per_sec: if p.micros == 0 {
-                    0.0
-                } else {
-                    p.counts_after.priced_total() as f64 * 1e6 / p.micros as f64
-                },
-            })
-            .collect();
-        let point = ScalingPoint {
-            name: name.clone(),
-            target_nodes: *nodes,
-            gates,
-            mapped_size: run.result.original_counts().priced_total(),
-            pipelined_size: run.result.pipelined_counts().priced_total(),
-            depth: run.result.pipelined.depth(),
-            cold_wall_ms,
-            warm_wall_ms,
-            cold,
-            warm,
-            passes,
-        };
+        // Map throughput: components out of the first pass per second.
+        let map_nodes_per_sec = run.trace.first().map_or(0.0, |p| {
+            if p.micros == 0 {
+                0.0
+            } else {
+                p.counts_after.priced_total() as f64 * 1e6 / p.micros as f64
+            }
+        });
+        let pipelined_size = run.result.pipelined_counts().priced_total();
         println!(
             "{:<44} {:>9} {:>9} {:>10.1} {:>10.3} {:>12.0}",
-            point.name,
-            point.gates,
-            point.pipelined_size,
-            point.cold_wall_ms,
-            point.warm_wall_ms,
-            point.passes.first().map_or(0.0, |p| p.nodes_per_sec)
+            name, gates, pipelined_size, cold_wall_ms, warm_wall_ms, map_nodes_per_sec
         );
-        points.push(point);
+        points.push(Point {
+            target_nodes: *nodes,
+            pipelined_size,
+            cold_wall_ms,
+        });
     }
     assert!(!points.is_empty(), "--max-nodes filtered out every point");
 
@@ -160,24 +142,11 @@ fn main() {
         }
     }
 
-    let record = ScalingRecord {
-        pipeline: pipeline
-            .build()
-            .expect("default pipeline is well-ordered")
-            .pass_names(),
-        points,
-        engine_totals: engine.stats(),
-        cached_cells: engine.cached_cells(),
-    };
-    fs::write(
-        out_dir.join("BENCH_pr4.json"),
-        serde_json::to_string_pretty(&record).expect("serialize"),
-    )
-    .expect("write BENCH_pr4.json");
+    let totals = engine.stats();
     println!(
-        "\nscaling record: results/BENCH_pr4.json ({} points, engine: {} hits / {} misses)",
-        record.points.len(),
-        record.engine_totals.cache_hits,
-        record.engine_totals.cache_misses
+        "\n{} points, engine: {} hits / {} misses",
+        points.len(),
+        totals.cache_hits,
+        totals.cache_misses
     );
 }

@@ -54,8 +54,8 @@ fn main() {
         engine = engine.with_disk_cache(dir);
     }
     let server = Server::start(Arc::new(engine), &addr, config).expect("bind the listen address");
-    // The exact line CI's serve-smoke job (and any wrapper script)
-    // waits for before pointing load at the daemon.
+    // The exact line the process test (`tests/daemon.rs`) and any
+    // wrapper script wait for before sending requests.
     println!("wavepipe-serve listening on {}", server.local_addr());
     println!(
         "workers={} queue={} client_queue={} shed={} cache_dir={}",

@@ -12,7 +12,7 @@
 //! ablation's ASAP arm is the inverter ablation's reference arm, and a
 //! re-run of any driver on the same engine recomputes nothing
 //! ([`Engine::stats`] exposes the hit/miss/pass counters `repro_all`
-//! records in `BENCH_pr3.json`).
+//! prints at the head of `flow_trace.txt`).
 //!
 //! The multi-technology experiments (Fig 9, Table II) still come back
 //! as Table II comparisons plus per-(circuit, technology, pass)

@@ -12,7 +12,7 @@
 //! | Fig 9 (T/A and T/P gains) | `fig9` | [`harness::fig9_data`] |
 //! | Table II (per-benchmark metrics) | `table2` | [`harness::table2_from_grid`] |
 //! | Retiming ablation (beyond paper) | `ablation_retiming` | [`harness::retiming_ablation`] |
-//! | Scaling sweep, 10²..10⁵ synthetic nodes (beyond paper) | `scaling` | [`record::ScalingRecord`] |
+//! | Scaling sweep, 10²..10⁷ synthetic nodes (beyond paper) | `scaling` | [`wavepipe::Engine::run`] |
 //! | Everything, to `results/` | `repro_all` | all of the above |
 //!
 //! Every driver expresses its flow configuration as a declarative
@@ -23,23 +23,21 @@
 //! cells — Fig 8's BUF-only column is Fig 5's sweep re-served from
 //! cache. `repro_all` additionally writes the per-(circuit, technology,
 //! pass) **priced** traces (wall time, component delta, depth change,
-//! area/energy/cycle-time deltas) to `results/flow_trace.{txt,json}`,
-//! and a machine-readable `results/BENCH_pr3.json` (wall time **and
-//! engine cache hit/miss/pass counters** per sweep, per-pass priced
-//! deltas per technology) so the performance trajectory is tracked
-//! across PRs. The `scaling` binary sweeps the synthetic `dag` family
-//! from 10² to 10⁵ nodes and records per-pass throughput plus cold/warm
-//! cache-hit curves in `results/BENCH_pr4.json`; both record schemas
-//! live in [`record`] and are pinned by the golden schema test.
+//! area/energy/cycle-time deltas) to `results/flow_trace.{txt,json}`.
+//! The `scaling` binary sweeps the synthetic `dag` family from 10² to
+//! 10⁷ nodes and prints per-point cold/warm times and map throughput.
 //!
-//! Criterion performance benches for the two algorithms live under
-//! `benches/`.
+//! Performance is tracked by one ledger, the `perfbench` package at the
+//! repository root (`perfbench/README.md`); this crate writes no
+//! benchmark records. The other binaries are `wavecheck` (static lint),
+//! `persist_smoke` (the two-process disk-cache check) and
+//! `wavepipe-serve` (the daemon). Criterion performance benches for
+//! the two algorithms live under `benches/`.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod fit;
 pub mod harness;
-pub mod record;
 
 pub use fit::{fit_power_law, PowerLaw};

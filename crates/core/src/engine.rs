@@ -151,7 +151,8 @@ pub struct EngineStats {
 impl EngineStats {
     /// Counter-wise difference against an earlier snapshot — how
     /// callers turn two [`Engine::stats`] readings into a per-stage
-    /// delta (the bench harness records these in `BENCH_pr3.json`).
+    /// delta (the `perfbench` ledger and the `scaling` sweep read them
+    /// this way).
     ///
     /// Each counter is an independent atomic, so a snapshot taken while
     /// other threads are mid-run is not a single consistent cut: one

@@ -17,8 +17,9 @@
 //! - **graceful shutdown**: draining every queued and in-flight run to
 //!   its terminal event before exit.
 //!
-//! The binaries live in `wavepipe-bench`: `wavepipe-serve` (the
-//! daemon) and `wavepipe-load` (a latency-percentile load generator).
+//! The daemon binary, `wavepipe-serve`, lives in `wavepipe-bench`;
+//! the `perfbench` ledger measures served-request latency and
+//! throughput on an in-process [`Server`].
 //!
 //! ```text
 //! client ──TCP──▶ reader ──▶ [job queue] ──▶ worker ──▶ engine

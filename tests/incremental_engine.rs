@@ -167,7 +167,8 @@ proptest! {
 /// summaries, never measured on the merged arena — this pins the
 /// composition to a full scan in release builds too (the splice itself
 /// only `debug_assert`s it), both on a cold run and across an edit
-/// where clean-cone summaries come from the session cache.
+/// where clean-cone summaries come from the session cache. The edit
+/// re-runs exactly one cone, and the engine's counters say so too.
 #[test]
 fn composed_max_fanout_matches_a_merged_scan() {
     let engine = Engine::new();
@@ -206,8 +207,18 @@ fn composed_max_fanout_matches_a_merged_scan() {
             signal: gate,
         })
         .unwrap();
+    let before = engine.stats();
     let edited = session.run().unwrap();
     assert!(edited.cones_reused > 0, "edit must reuse clean cones");
+    assert_eq!(
+        edited.cones_recomputed, 1,
+        "a one-gate rewire re-runs one cone"
+    );
+    assert_eq!(
+        engine.stats().since(&before).cones_recomputed,
+        1,
+        "engine telemetry agrees with the outcome"
+    );
     let report = edited
         .run
         .result

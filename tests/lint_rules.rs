@@ -15,6 +15,7 @@
 //!   simulation — exactly the class of bug sampling can never catch.
 
 use proptest::prelude::*;
+use serde::Value;
 use wavepipe::differential::{self};
 use wavepipe::lint::{LintContext, LintDriver, Severity};
 use wavepipe::{
@@ -429,6 +430,44 @@ fn clean_flow_with_lint_gate_keeps_its_trace() {
         .expect("clean flow passes the gate");
     let names: Vec<&str> = run.trace.iter().map(|s| s.pass.as_str()).collect();
     assert_eq!(names.len(), 4, "{names:?}");
+}
+
+/// Sorted top-level keys of a JSON object value.
+fn keys(value: &Value) -> Vec<String> {
+    let mut keys: Vec<String> = value
+        .as_object()
+        .expect("object")
+        .iter()
+        .map(|(k, _)| k.clone())
+        .collect();
+    keys.sort();
+    keys
+}
+
+/// The `wavecheck --json --out` artifact (regenerated by CI's
+/// lint-smoke job) must parse with the pinned report shape and carry
+/// zero error-severity findings.
+#[test]
+fn generated_lint_report_parses_clean() {
+    let path = "results/LINT.json";
+    let Ok(text) = std::fs::read_to_string(path) else {
+        eprintln!("{path} not generated in this checkout; skipping");
+        return;
+    };
+    let value: Value = serde_json::from_str(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
+    assert_eq!(
+        keys(&value),
+        ["fanout_limit", "schema_version", "subjects", "totals"],
+        "{path} drifted from the schema"
+    );
+    let totals = serde::field(value.as_object().unwrap(), "totals").unwrap();
+    assert_eq!(
+        serde::field(totals.as_object().unwrap(), "errors")
+            .unwrap()
+            .as_f64(),
+        Some(0.0),
+        "{path}: the checked-in flows must lint clean"
+    );
 }
 
 proptest! {

@@ -463,6 +463,71 @@ fn rewrite_prefixed_flow_preserves_function_and_improves_qor() {
     assert_eq!(warm.stats.passes_executed, 0);
 }
 
+/// The rewrite kernels' QoR contract at the presets the README quotes:
+/// under `optimize_depth` + `optimize_size` (64 rounds each) ahead of
+/// the paper's default flow, with the per-pass equivalence gate on,
+/// every maximally-skewed chain at least halves in depth (source MIG
+/// depth over the depth after the last rewrite), every shared-context
+/// group loses majority gates, and a warm re-run executes no pass.
+#[test]
+fn rewrite_presets_meet_the_qor_contract() {
+    const CHAINS: [&str; 3] = [
+        "synth:chain:1:length=64",
+        "synth:chain:2:chains=2,length=128",
+        "synth:chain:3:length=256",
+    ];
+    const SHARED: [&str; 2] = [
+        "synth:shared:4:groups=24,width=16",
+        "synth:shared:5:groups=64,width=24",
+    ];
+    let engine = Engine::new().with_resolver(benchsuite::build_mig);
+    let raw = PipelineSpec::for_config(FlowConfig::default());
+    let mut pipeline = PipelineSpec::map(raw.minimize_inverters)
+        .optimize_depth(64)
+        .optimize_size(64)
+        .gate_equivalence(EquivalencePolicy::default());
+    pipeline.passes.extend(raw.passes);
+    let mut spec = FlowSpec::new("qor-contract").with_pipeline(pipeline);
+    for name in CHAINS.iter().chain(&SHARED) {
+        spec = spec.circuit(*name);
+    }
+
+    let cold = engine.run(&spec).expect("rewrite pipeline is well-formed");
+    assert_eq!(cold.circuits.len(), CHAINS.len() + SHARED.len());
+    for (ci, cell) in cold.iter().enumerate() {
+        let name = &cold.circuits[ci];
+        let run = cell
+            .run()
+            .unwrap_or_else(|| panic!("{name}: flow failed: {:?}", cell.outcome));
+        let source = benchsuite::build_mig(name).expect("registry rebuilds");
+        let last = run
+            .trace
+            .iter()
+            .rfind(|p| p.pass.starts_with("optimize_"))
+            .unwrap_or_else(|| panic!("{name}: the rewrite prefix is traced"));
+        if CHAINS.contains(&name.as_str()) {
+            let gain = source.depth() as f64 / last.depth_after.max(1) as f64;
+            assert!(
+                gain >= 2.0,
+                "{name}: skewed chains must at least halve in depth (got {gain:.2}x)"
+            );
+        } else {
+            assert!(
+                last.counts_after.maj < source.gate_count(),
+                "{name}: shared-context groups must lose gates ({} from {})",
+                last.counts_after.maj,
+                source.gate_count()
+            );
+        }
+    }
+
+    let warm = engine.run(&spec).expect("warm re-run verifies");
+    assert_eq!(
+        warm.stats.passes_executed, 0,
+        "warm re-run executes no pass"
+    );
+}
+
 /// The generator contract behind the cache: identical requests are
 /// bit-identical netlists, and the canonical name embedded in the spec
 /// is a complete reproduction recipe.
