@@ -1,18 +1,19 @@
-//! Criterion benches for simulation machinery: combinational golden
-//! evaluation, bit-parallel MIG simulation and three-phase wave
-//! streaming.
+//! Criterion benches for simulation machinery: bit-parallel MIG
+//! simulation and three-phase wave streaming. No perfbench metric times
+//! either yet.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use wavepipe::{run_flow, FlowConfig, WaveSimulator};
+use wavepipe::{PipelineSpec, WaveSimulator};
 
 fn bench_wave_streaming(c: &mut Criterion) {
     let mut group = c.benchmark_group("wave_streaming");
     group.sample_size(10);
+    let pipeline = PipelineSpec::default().build().expect("well-ordered");
     for name in ["SASC", "MUL8", "ALU16"] {
         let g = benchsuite::find(name).expect("known benchmark").build();
-        let flow = run_flow(&g, FlowConfig::default()).expect("flow verifies");
+        let flow = pipeline.run(&g).expect("flow verifies").result;
         let mut rng = StdRng::seed_from_u64(99);
         let waves: Vec<Vec<bool>> = (0..50)
             .map(|_| (0..g.input_count()).map(|_| rng.gen()).collect())

@@ -44,7 +44,7 @@ use wavepipe::{BufferStrategy, FlowPipeline, FlowSpec, LintReport, PassError};
 use wavepipe_bench::harness::QUICK_SUBSET;
 
 /// The §IV fan-out bound checked when `--fanout-limit` is not given
-/// (the paper's default, matching [`wavepipe::FlowConfig::default`]).
+/// (the paper's default, matching [`wavepipe::PipelineSpec::default`]).
 const DEFAULT_FANOUT_LIMIT: u32 = 3;
 
 /// Rewrite-round budget of the `--optimize` prefix.

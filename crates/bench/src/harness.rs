@@ -26,7 +26,7 @@ use benchsuite::BenchmarkSpec;
 use mig::Mig;
 use rayon::prelude::*;
 use tech::{BenchmarkRow, CostTable, Technology};
-use wavepipe::{BufferStrategy, Engine, FlowConfig, PassStats, PipelineRun, PipelineSpec};
+use wavepipe::{BufferStrategy, Engine, PassStats, PipelineRun, PipelineSpec};
 
 use crate::fit::{fit_power_law, PowerLaw};
 
@@ -118,7 +118,7 @@ pub fn evaluate_suite_grid(
 ) -> GridEvaluation {
     let technologies = Technology::all();
     let tables: Vec<CostTable> = technologies.iter().map(Technology::cost_table).collect();
-    let pipeline = PipelineSpec::for_config(FlowConfig::default());
+    let pipeline = PipelineSpec::default();
     let graphs: Vec<&Mig> = suite.iter().map(|(_, g)| g).collect();
     let cells = engine
         .run_pipeline_grid(&pipeline, &graphs, &tables)
@@ -506,19 +506,13 @@ pub fn inverter_ablation(
     suite: &[(&'static BenchmarkSpec, Mig)],
 ) -> Vec<InverterAblation> {
     let qca = Technology::qca();
-    let plain_runs = run_spec_over(
-        engine,
-        &PipelineSpec::for_config(FlowConfig::default()),
-        suite,
-    );
-    let min_runs = run_spec_over(
-        engine,
-        &PipelineSpec::for_config(FlowConfig {
-            minimize_inverters: true,
-            ..FlowConfig::default()
-        }),
-        suite,
-    );
+    let plain = PipelineSpec::default();
+    let min = PipelineSpec {
+        minimize_inverters: true,
+        ..PipelineSpec::default()
+    };
+    let plain_runs = run_spec_over(engine, &plain, suite);
+    let min_runs = run_spec_over(engine, &min, suite);
     suite
         .iter()
         .zip(plain_runs.into_iter().zip(min_runs))
@@ -712,13 +706,14 @@ mod tests {
     #[test]
     fn parallel_suite_evaluation_matches_serial_flow() {
         // The cached grid driver must be a pure parallelization:
-        // identical results to one-at-a-time `run_flow`.
+        // identical results to one-at-a-time runs of the same spec.
         let engine = engine();
         let suite = build_suite(Some(&["SASC", "ALU16"]));
         let evaluated = evaluate_suite(&engine, &suite);
+        let pipeline = PipelineSpec::default().build().unwrap();
         for ((spec, g), (name, comparisons)) in suite.iter().zip(&evaluated) {
             assert_eq!(spec.name, name);
-            let serial = wavepipe::run_flow(g, FlowConfig::default()).unwrap();
+            let serial = pipeline.run(g).unwrap().result;
             let technologies = Technology::all();
             for (t, c) in technologies.iter().zip(comparisons) {
                 assert_eq!(compare(&serial, t), *c);

@@ -302,8 +302,8 @@ impl Cache {
 pub struct Engine {
     resolver: Option<Box<CircuitResolver>>,
     cache: Mutex<Cache>,
-    /// `Some(0)` disables caching entirely (no hashing, no lookups) —
-    /// the mode the thin `run_flow` wrapper uses.
+    /// `Some(0)` disables caching entirely (no hashing, no lookups, no
+    /// disk tier): every cell executes.
     capacity: Option<usize>,
     /// Persistent tier under the in-memory LRU, when configured.
     disk: Option<DiskCache>,
@@ -399,16 +399,6 @@ impl Engine {
             };
         }
         self
-    }
-
-    /// An engine that never caches (and never hashes) — every cell
-    /// executes. This is what the legacy `run_flow` wrapper runs on, so
-    /// it stays exactly as cheap as before.
-    pub fn uncached() -> Engine {
-        Engine {
-            capacity: Some(0),
-            ..Engine::new()
-        }
     }
 
     /// Installs the registry lookup for [`CircuitSpec::Named`] entries
@@ -630,24 +620,6 @@ impl Engine {
         ))
     }
 
-    /// Runs one pipeline spec on one graph (one cached cell).
-    ///
-    /// # Errors
-    ///
-    /// [`FlowError::Spec`] / [`FlowError::Pipeline`] for an invalid
-    /// pipeline spec, [`FlowError::Pass`] when the run itself fails.
-    pub fn run_graph(
-        &self,
-        graph: &Mig,
-        pipeline: &PipelineSpec,
-        model: Option<&CostTable>,
-    ) -> Result<Arc<PipelineRun>, FlowError> {
-        let models: Vec<CostTable> = model.cloned().into_iter().collect();
-        let mut cells = self.run_pipeline_grid(pipeline, &[graph], &models)?;
-        let cell = cells.pop().expect("one graph yields one cell");
-        cell.outcome.map_err(FlowError::Pass)
-    }
-
     /// Grid execution over an already-built pipeline. `pipe_hash` is
     /// the pipeline's stable identity; with caching disabled every cell
     /// executes.
@@ -735,8 +707,8 @@ impl Engine {
             .collect()
     }
 
-    /// Whether this engine caches at all (`with_cache_capacity(0)` and
-    /// [`Engine::uncached`] turn everything off, disk tier included).
+    /// Whether this engine caches at all (`with_cache_capacity(0)`
+    /// turns everything off, disk tier included).
     pub(crate) fn caching_enabled(&self) -> bool {
         self.capacity != Some(0)
     }
@@ -880,7 +852,7 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::spec::PipelineSpec;
-    use crate::{BufferStrategy, FlowConfig};
+    use crate::BufferStrategy;
 
     fn sample_mig(seed: u64) -> Mig {
         mig::random_mig(mig::RandomMigConfig {
@@ -940,7 +912,9 @@ mod tests {
         assert_eq!(run.circuits, ["S1", "S2"]);
         assert_eq!(run.technologies, ["FLAT"]);
         assert_eq!(run.cells.len(), 2);
-        let direct = crate::FlowPipeline::for_config(FlowConfig::default())
+        let direct = PipelineSpec::default()
+            .build()
+            .unwrap()
             .run_with_model(&sample_mig(1), Some(&flat_table()))
             .unwrap();
         let cell = run.cell(0, 0).unwrap();
@@ -1154,7 +1128,7 @@ mod tests {
         engine.run(&spec).unwrap();
         assert_eq!(engine.cached_cells(), 1);
 
-        let uncached = Engine::uncached().with_resolver(resolver);
+        let uncached = Engine::new().with_cache_capacity(0).with_resolver(resolver);
         uncached.run(&spec).unwrap();
         assert_eq!(uncached.cached_cells(), 0);
         assert_eq!(uncached.stats().cache_hits, 0);

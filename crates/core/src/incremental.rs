@@ -94,9 +94,10 @@ use rayon::prelude::*;
 use crate::component::{CompId, ComponentKind};
 use crate::cost::CostTable;
 use crate::engine::{CacheKey, Engine, Scope, COST_BLIND};
-use crate::flow::FlowResult;
 use crate::netlist::{KindCounts, Netlist};
-use crate::pipeline::{BufferStrategy, PassError, PassStats, PipelineError, PipelineRun};
+use crate::pipeline::{
+    BufferStrategy, FlowResult, PassError, PassStats, PipelineError, PipelineRun,
+};
 use crate::spec::{PassSpec, PipelineSpec, SpecError};
 use crate::verify::differential;
 use crate::{BalanceReport, BufferInsertion, FanoutRestriction, PricedDelta};

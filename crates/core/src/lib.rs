@@ -44,9 +44,11 @@
 //! with counterexamples that name the offending pass.
 //!
 //! The builder rejects ill-ordered pipelines (mapping must come first,
-//! fan-out restriction before buffer insertion, verification last) with
-//! a [`PipelineError`], and every run records a per-pass [`PassStats`]
-//! trace: wall time, component-count delta, depth change.
+//! fan-out restriction before buffer insertion, verification last) and
+//! out-of-range pass parameters with a [`PipelineError`], and every run
+//! records a per-pass [`PassStats`] trace: wall time, component-count
+//! delta, depth change. The same pipeline as data is a [`PipelineSpec`];
+//! `PipelineSpec::default()` is the paper's flow above.
 //!
 //! ## The cost-model layer
 //!
@@ -96,43 +98,6 @@
 //! # }
 //! ```
 //!
-//! ## Compatibility wrapper
-//!
-//! [`run_flow`] assembles the default pipeline for a [`FlowConfig`] and
-//! returns the classic [`FlowResult`] (many graphs at once go through
-//! [`Engine::run_pipeline_grid`] with an empty model list):
-//!
-//! ```
-//! use mig::Mig;
-//! use wavepipe::{run_flow, FlowConfig, WaveSimulator};
-//!
-//! # fn main() -> Result<(), wavepipe::BalanceError> {
-//! let mut g = Mig::new();
-//! let a = g.add_input("a");
-//! let b = g.add_input("b");
-//! let cin = g.add_input("cin");
-//! let (sum, cout) = g.add_full_adder(a, b, cin);
-//! g.add_output("sum", sum);
-//! g.add_output("cout", cout);
-//!
-//! let result = run_flow(&g, FlowConfig::default())?;
-//! let report = result.report.expect("flow verifies its output");
-//!
-//! // Stream three additions through the pipeline.
-//! let waves = vec![
-//!     vec![true, false, false],
-//!     vec![true, true, false],
-//!     vec![true, true, true],
-//! ];
-//! let run = WaveSimulator::new(&result.pipelined).run(&waves);
-//! assert_eq!(run.outputs[0], vec![true, false]);  // 1+0+0 = 01
-//! assert_eq!(run.outputs[1], vec![false, true]);  // 1+1+0 = 10
-//! assert_eq!(run.outputs[2], vec![true, true]);   // 1+1+1 = 11
-//! assert_eq!(report.depth, run.depth);
-//! # Ok(())
-//! # }
-//! ```
-//!
 //! The statistics types ([`KindCounts`], [`PassStats`], the per-pass
 //! stats structs) and the spec types always derive the vendored serde
 //! traits; there is no cargo feature to turn on.
@@ -148,7 +113,6 @@ pub mod cost;
 pub mod engine;
 mod error;
 mod fanout_restriction;
-mod flow;
 mod fnv;
 mod from_mig;
 pub mod incremental;
@@ -180,7 +144,6 @@ pub use fanout_restriction::{
     restrict_fanout, restrict_fanout_prepared, CostAwareFanoutPass, FanoutRestriction,
     FanoutRestrictionPass,
 };
-pub use flow::{run_flow, FlowConfig, FlowResult};
 pub use from_mig::{netlist_from_mig, netlist_from_mig_min_inv, MapPass};
 pub use incremental::{EngineEdit, IncrementalError, IncrementalOutcome, IncrementalSession};
 pub use lint::{
@@ -190,8 +153,8 @@ pub use lint::{
 pub use netlist::{FanoutEdges, KindCounts, Netlist, NetlistError, Port, StructuralCaches};
 pub use optimize::{OptimizeCostAwarePass, OptimizeDepthPass, OptimizeSizePass};
 pub use pipeline::{
-    BufferStrategy, FlowContext, FlowPipeline, FlowPipelineBuilder, Pass, PassError, PassKind,
-    PassStats, PipelineError, PipelineRun,
+    BufferStrategy, FlowContext, FlowPipeline, FlowPipelineBuilder, FlowResult, Pass, PassError,
+    PassKind, PassStats, PipelineError, PipelineRun,
 };
 pub use retiming::{schedule_levels, LevelSchedule};
 pub use spec::{CacheSpec, CircuitSpec, FlowSpec, PassSpec, PipelineSpec, SpecError, SynthSpec};

@@ -63,10 +63,9 @@ use crate::buffer_insertion::BufferInsertion;
 use crate::component::{CompId, Component};
 use crate::cost::{PricedCost, PricedDelta};
 use crate::fanout_restriction::FanoutRestriction;
-use crate::flow::FlowResult;
 use crate::fnv::Fnv;
 use crate::netlist::{KindCounts, Netlist};
-use crate::pipeline::{PassStats, PipelineRun};
+use crate::pipeline::{FlowResult, PassStats, PipelineRun};
 use crate::weighted::WeightedInsertion;
 
 /// On-disk format version; bump on any layout change so old entries
@@ -929,8 +928,7 @@ impl DiskCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::FlowConfig;
-    use crate::pipeline::FlowPipeline;
+    use crate::spec::PipelineSpec;
 
     fn sample_run() -> PipelineRun {
         let graph = mig::random_mig(mig::RandomMigConfig {
@@ -940,7 +938,9 @@ mod tests {
             depth: 6,
             seed: 11,
         });
-        FlowPipeline::for_config(FlowConfig::default())
+        PipelineSpec::default()
+            .build()
+            .unwrap()
             .run(&graph)
             .expect("sample flow verifies")
     }

@@ -24,9 +24,9 @@
 //! A pipeline runs one graph at a time ([`FlowPipeline::run`]); sweeps
 //! over many graphs and technologies go through the one grid driver,
 //! [`crate::Engine::run_pipeline_grid`], which schedules every cell on
-//! the work-pulling parallel scheduler and caches results.
-//! [`crate::run_flow`] remains as a thin compatibility wrapper that
-//! assembles the default pipeline for a [`crate::FlowConfig`].
+//! the work-pulling parallel scheduler and caches results. A pipeline
+//! is named as data by a [`crate::PipelineSpec`] (its `Default` is the
+//! paper's flow); the builder is for custom passes.
 
 use std::fmt;
 use std::time::Instant;
@@ -40,7 +40,6 @@ use crate::buffer_insertion::BufferInsertion;
 use crate::component::CompId;
 use crate::cost::{CostModel, CostTable, PricedDelta};
 use crate::fanout_restriction::FanoutRestriction;
-use crate::flow::FlowResult;
 use crate::netlist::{FanoutEdges, KindCounts, Netlist, StructuralCaches};
 use crate::weighted::{DelayWeights, WeightedInsertion};
 
@@ -365,13 +364,49 @@ impl fmt::Display for PassStats {
     }
 }
 
+/// Everything the flow produced, for one MIG.
+#[derive(Clone, Debug)]
+pub struct FlowResult {
+    /// The mapped netlist before any transformation (INV materialized).
+    pub original: Netlist,
+    /// The transformed netlist.
+    pub pipelined: Netlist,
+    /// Fan-out restriction statistics (if the pass ran).
+    pub fanout: Option<FanoutRestriction>,
+    /// Buffer insertion statistics (if the pass ran).
+    pub buffers: Option<BufferInsertion>,
+    /// Balance verification of the result (present when buffer insertion
+    /// ran; the invariants cannot hold without it in general).
+    pub report: Option<BalanceReport>,
+}
+
+impl FlowResult {
+    /// Component counts of the original mapped netlist.
+    pub fn original_counts(&self) -> KindCounts {
+        self.original.counts()
+    }
+
+    /// Component counts of the transformed netlist.
+    pub fn pipelined_counts(&self) -> KindCounts {
+        self.pipelined.counts()
+    }
+
+    /// Size ratio pipelined / original (the normalized netlist size of
+    /// Fig 8).
+    pub fn size_ratio(&self) -> f64 {
+        self.pipelined_counts().priced_total() as f64
+            / self.original_counts().priced_total().max(1) as f64
+    }
+}
+
 /// Everything one pipeline execution produced.
 #[derive(Clone, Debug)]
 pub struct PipelineRun {
-    /// The flow result in the legacy [`FlowResult`] shape.
+    /// The unit-delay flow result: both netlists and the per-pass
+    /// statistics.
     pub result: FlowResult,
-    /// Weighted-insertion statistics, when a weighted pass ran (the
-    /// legacy result shape has no slot for them).
+    /// Weighted-insertion statistics, when a weighted pass ran
+    /// ([`FlowResult`] has no slot for them).
     pub weighted: Option<WeightedInsertion>,
     /// Per-pass instrumentation, in execution order.
     pub trace: Vec<PassStats>,
@@ -416,6 +451,12 @@ pub enum PipelineError {
     /// sweep can realistically cover per pass boundary (cost doubles
     /// per input; see [`crate::spec::MAX_EXHAUSTIVE_GATE_INPUTS`]).
     GateCeilingTooHigh(u32),
+    /// A fan-out restriction or bound check names a limit outside the
+    /// feasible §IV range `2..=5`.
+    FanoutLimitOutOfRange(u32),
+    /// A weighted pass names delay weights with a zero buffer weight or
+    /// a weight above [`crate::spec::MAX_DELAY_WEIGHT`].
+    DelayWeightsOutOfRange(DelayWeights),
 }
 
 impl fmt::Display for PipelineError {
@@ -448,6 +489,20 @@ impl fmt::Display for PipelineError {
                 "equivalence gate's exhaustive ceiling of {inputs} inputs is beyond the \
                  practical limit of {} (cost doubles per input)",
                 crate::spec::MAX_EXHAUSTIVE_GATE_INPUTS
+            ),
+            PipelineError::FanoutLimitOutOfRange(limit) => write!(
+                f,
+                "fan-out limit {limit} is outside the feasible range 2..=5 (§IV)"
+            ),
+            PipelineError::DelayWeightsOutOfRange(w) => write!(
+                f,
+                "delay weights (inv {}, maj {}, buf {}, fog {}) are out of range: buf must be \
+                 at least 1 and every weight at most {}",
+                w.inv,
+                w.maj,
+                w.buf,
+                w.fog,
+                crate::spec::MAX_DELAY_WEIGHT
             ),
         }
     }
@@ -482,16 +537,6 @@ impl FlowPipeline {
     /// Starts an empty pipeline builder.
     pub fn builder() -> FlowPipelineBuilder {
         FlowPipelineBuilder::default()
-    }
-
-    /// Assembles the default pipeline for a [`crate::FlowConfig`] — the
-    /// exact pass sequence the legacy `run_flow` hardcoded, compiled
-    /// from its declarative form
-    /// ([`crate::PipelineSpec::for_config`]).
-    pub fn for_config(config: crate::FlowConfig) -> FlowPipeline {
-        crate::spec::PipelineSpec::for_config(config)
-            .build()
-            .expect("the default pipeline is always well-ordered")
     }
 
     /// Names of the registered passes, in order.
@@ -793,6 +838,8 @@ pub struct FlowPipelineBuilder {
     cost: Option<CostTable>,
     equivalence: Option<mig::EquivalencePolicy>,
     lints: bool,
+    /// The first out-of-range pass parameter, reported by `build`.
+    invalid: Option<PipelineError>,
 }
 
 impl fmt::Debug for FlowPipelineBuilder {
@@ -805,6 +852,7 @@ impl fmt::Debug for FlowPipelineBuilder {
             .field("cost", &self.cost.as_ref().map(|t| t.name().to_owned()))
             .field("equivalence", &self.equivalence)
             .field("lints", &self.lints)
+            .field("invalid", &self.invalid)
             .finish()
     }
 }
@@ -876,11 +924,12 @@ impl FlowPipelineBuilder {
         self.pass(Box::new(crate::from_mig::MapPass { minimize_inverters }))
     }
 
-    /// Adds a fan-out restriction pass with the §IV limit `k ∈ 2..=5`.
+    /// Adds a fan-out restriction pass with the §IV limit `k ∈ 2..=5`
+    /// (any other limit fails [`FlowPipelineBuilder::build`]).
     pub fn restrict_fanout(self, limit: u32) -> FlowPipelineBuilder {
-        self.pass(Box::new(crate::fanout_restriction::FanoutRestrictionPass {
-            limit,
-        }))
+        self.check_fanout_limit(limit).pass(Box::new(
+            crate::fanout_restriction::FanoutRestrictionPass { limit },
+        ))
     }
 
     /// Adds a cost-aware fan-out restriction pass that picks the limit
@@ -895,7 +944,11 @@ impl FlowPipelineBuilder {
 
     /// Adds a buffer-insertion pass with the chosen strategy.
     pub fn insert_buffers(self, strategy: BufferStrategy) -> FlowPipelineBuilder {
-        self.pass(Box::new(crate::buffer_insertion::InsertBuffersPass(
+        let builder = match strategy {
+            BufferStrategy::Weighted(weights) => self.check_delay_weights(weights),
+            _ => self,
+        };
+        builder.pass(Box::new(crate::buffer_insertion::InsertBuffersPass(
             strategy,
         )))
     }
@@ -908,7 +961,8 @@ impl FlowPipelineBuilder {
 
     /// Adds weighted-delay balance verification.
     pub fn verify_weighted(self, weights: DelayWeights) -> FlowPipelineBuilder {
-        self.verify_strategy(BufferStrategy::Weighted(weights), None)
+        self.check_delay_weights(weights)
+            .verify_strategy(BufferStrategy::Weighted(weights), None)
     }
 
     /// Adds cost-aware balance verification: checks against the phase
@@ -933,7 +987,26 @@ impl FlowPipelineBuilder {
     /// Adds a fan-out bound check without full balance verification
     /// (the FOx-only configurations of Fig 8).
     pub fn check_fanout_bound(self, limit: u32) -> FlowPipelineBuilder {
-        self.pass(Box::new(crate::balance::FanoutBoundPass { limit }))
+        self.check_fanout_limit(limit)
+            .pass(Box::new(crate::balance::FanoutBoundPass { limit }))
+    }
+
+    /// Records an out-of-range `limit` for `build` to report.
+    fn check_fanout_limit(mut self, limit: u32) -> FlowPipelineBuilder {
+        if !crate::spec::fanout_limit_in_range(limit) {
+            self.invalid
+                .get_or_insert(PipelineError::FanoutLimitOutOfRange(limit));
+        }
+        self
+    }
+
+    /// Records out-of-range `weights` for `build` to report.
+    fn check_delay_weights(mut self, weights: DelayWeights) -> FlowPipelineBuilder {
+        if !crate::spec::delay_weights_in_range(&weights) {
+            self.invalid
+                .get_or_insert(PipelineError::DelayWeightsOutOfRange(weights));
+        }
+        self
     }
 
     /// Registers an arbitrary custom pass.
@@ -948,10 +1021,16 @@ impl FlowPipelineBuilder {
     ///
     /// Returns a [`PipelineError`] when the pass sequence violates the
     /// structural constraints (map first, fan-out restriction before
-    /// buffer insertion, no transforms after verification).
+    /// buffer insertion, no transforms after verification) or a pass
+    /// parameter is out of range (a fan-out limit outside `2..=5`,
+    /// delay weights with `buf == 0` or above
+    /// [`crate::spec::MAX_DELAY_WEIGHT`]).
     pub fn build(self) -> Result<FlowPipeline, PipelineError> {
         let kinds: Vec<PassKind> = self.passes.iter().map(|p| p.kind()).collect();
         validate_order(&kinds)?;
+        if let Some(error) = self.invalid {
+            return Err(error);
+        }
         // Guard the gate here too (not just at the spec layer): builder
         // users would otherwise install a vacuous (zero-round) or
         // per-boundary-intractable gate with no error.
@@ -1018,7 +1097,10 @@ pub(crate) fn validate_order(kinds: &[PassKind]) -> Result<(), PipelineError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FlowConfig;
+    use crate::spec::PipelineSpec;
+    use crate::wavesim::WaveSimulator;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn sample_mig(seed: u64) -> Mig {
         mig::random_mig(mig::RandomMigConfig {
@@ -1030,27 +1112,120 @@ mod tests {
         })
     }
 
+    /// The paper's flow: FO3 + BUF + verify.
+    fn paper_flow() -> FlowPipeline {
+        PipelineSpec::default().build().unwrap()
+    }
+
+    /// The larger random MIGs the end-to-end flow checks run on.
+    fn flow_mig(seed: u64) -> Mig {
+        mig::random_mig(mig::RandomMigConfig {
+            inputs: 12,
+            outputs: 6,
+            gates: 250,
+            depth: 10,
+            seed,
+        })
+    }
+
+    fn run_spec(spec: PipelineSpec, g: &Mig) -> FlowResult {
+        spec.build().unwrap().run(g).unwrap().result
+    }
+
     #[test]
-    fn default_pipeline_matches_legacy_flow() {
-        let g = sample_mig(1);
-        let run = FlowPipeline::for_config(FlowConfig::default())
-            .run(&g)
-            .unwrap();
-        let legacy = crate::flow::run_flow(&g, FlowConfig::default()).unwrap();
-        assert_eq!(run.result.pipelined_counts(), legacy.pipelined_counts());
-        assert_eq!(run.result.original_counts(), legacy.original_counts());
-        assert_eq!(run.result.pipelined.depth(), legacy.pipelined.depth());
-        assert_eq!(run.result.report, legacy.report);
-        assert_eq!(run.result.fanout, legacy.fanout);
-        assert_eq!(run.result.buffers, legacy.buffers);
+    fn default_flow_produces_wave_ready_netlist() {
+        let r = run_spec(PipelineSpec::default(), &flow_mig(1));
+        assert!(r.report.is_some());
+        assert!(r.pipelined.max_fanout() <= 3);
+        assert!(r.size_ratio() > 1.0);
+        assert!(r.fanout.unwrap().fogs_inserted > 0);
+        assert!(r.buffers.unwrap().total() > 0);
+    }
+
+    #[test]
+    fn flow_preserves_function_end_to_end() {
+        let r = run_spec(PipelineSpec::default(), &flow_mig(2));
+        let mut rng = StdRng::seed_from_u64(3);
+        for _ in 0..64 {
+            let bits: Vec<bool> = (0..12).map(|_| rng.gen()).collect();
+            assert_eq!(r.original.eval(&bits), r.pipelined.eval(&bits));
+        }
+    }
+
+    #[test]
+    fn flow_result_streams_waves() {
+        let r = run_spec(PipelineSpec::default(), &flow_mig(4));
+        let mut rng = StdRng::seed_from_u64(5);
+        let waves: Vec<Vec<bool>> = (0..25)
+            .map(|_| (0..12).map(|_| rng.gen()).collect())
+            .collect();
+        let corrupted = WaveSimulator::new(&r.pipelined).check_against_golden(&waves);
+        assert!(corrupted.is_empty());
+    }
+
+    /// Fig 8's BUF-only configuration: balancing without restriction.
+    fn buf_only() -> PipelineSpec {
+        PipelineSpec::map(false)
+            .insert_buffers(BufferStrategy::Asap)
+            .verify(None)
+    }
+
+    /// Fig 8's FOx-only configuration: restriction without balancing.
+    fn fo_only(limit: u32) -> PipelineSpec {
+        PipelineSpec::map(false)
+            .restrict_fanout(limit)
+            .check_fanout_bound(limit)
+    }
+
+    #[test]
+    fn buf_only_configuration() {
+        let r = run_spec(buf_only(), &flow_mig(6));
+        assert!(r.fanout.is_none());
+        assert!(r.report.is_some());
+    }
+
+    #[test]
+    fn fo_only_configuration() {
+        let r = run_spec(fo_only(4), &flow_mig(7));
+        assert!(r.report.is_none());
+        assert!(r.pipelined.max_fanout() <= 4);
+        assert!(r.buffers.is_none());
+    }
+
+    #[test]
+    fn combined_flow_needs_more_buffers_than_buf_alone() {
+        // Fig 8 observation (a): FOx+BUF inserts more buffers than BUF,
+        // because fan-out chains delay consumers and widen gaps.
+        let mut more = 0usize;
+        for seed in 10..16 {
+            let g = flow_mig(seed);
+            let alone = run_spec(buf_only(), &g);
+            let combined = run_spec(PipelineSpec::default(), &g);
+            if combined.buffers.unwrap().total() >= alone.buffers.unwrap().total() {
+                more += 1;
+            }
+        }
+        assert!(
+            more >= 5,
+            "combined flow should dominate on most seeds ({more}/6)"
+        );
+    }
+
+    #[test]
+    fn fog_count_is_independent_of_buffer_insertion() {
+        // Fig 8 observation (b).
+        for seed in 20..24 {
+            let g = flow_mig(seed);
+            let fo = run_spec(fo_only(3), &g);
+            let combined = run_spec(PipelineSpec::default(), &g);
+            assert_eq!(fo.pipelined_counts().fog, combined.pipelined_counts().fog);
+        }
     }
 
     #[test]
     fn trace_records_every_pass_in_order() {
         let g = sample_mig(2);
-        let run = FlowPipeline::for_config(FlowConfig::default())
-            .run(&g)
-            .unwrap();
+        let run = paper_flow().run(&g).unwrap();
         let names: Vec<String> = run.trace.iter().map(|s| s.pass.clone()).collect();
         assert_eq!(
             names,
@@ -1157,6 +1332,63 @@ mod tests {
                 .unwrap_err(),
             PipelineError::GateCeilingTooHigh(40)
         );
+    }
+
+    #[test]
+    fn builder_rejects_out_of_range_parameters() {
+        // Only `build()` is called: running such a pipeline would panic
+        // (limit 1) or ask balancing for unbounded buffer chains.
+        let fanout = |limit| {
+            let restrict = FlowPipeline::builder().map(false).restrict_fanout(limit);
+            let bound = FlowPipeline::builder().map(false).check_fanout_bound(limit);
+            (restrict.build().unwrap_err(), bound.build().unwrap_err())
+        };
+        for limit in [0, 1, 6, u32::MAX] {
+            let err = PipelineError::FanoutLimitOutOfRange(limit);
+            assert_eq!(fanout(limit), (err.clone(), err));
+        }
+        let zero_buf = DelayWeights {
+            buf: 0,
+            ..DelayWeights::UNIT
+        };
+        let huge = DelayWeights {
+            maj: u32::MAX,
+            ..DelayWeights::UNIT
+        };
+        let over = DelayWeights {
+            fog: crate::spec::MAX_DELAY_WEIGHT + 1,
+            ..DelayWeights::UNIT
+        };
+        for w in [zero_buf, huge, over] {
+            let err = PipelineError::DelayWeightsOutOfRange(w);
+            let insert = FlowPipeline::builder()
+                .map(false)
+                .insert_buffers(BufferStrategy::Weighted(w))
+                .build();
+            let verify = FlowPipeline::builder()
+                .map(false)
+                .verify_weighted(w)
+                .build();
+            assert_eq!(insert.unwrap_err(), err);
+            assert_eq!(verify.unwrap_err(), err);
+        }
+        // The bounds themselves are accepted.
+        let at_max = DelayWeights {
+            inv: crate::spec::MAX_DELAY_WEIGHT,
+            ..DelayWeights::UNIT
+        };
+        assert!(FlowPipeline::builder()
+            .map(false)
+            .restrict_fanout(2)
+            .insert_buffers(BufferStrategy::Weighted(at_max))
+            .verify_weighted(at_max)
+            .build()
+            .is_ok());
+        assert!(FlowPipeline::builder()
+            .map(false)
+            .check_fanout_bound(5)
+            .build()
+            .is_ok());
     }
 
     #[test]
@@ -1284,9 +1516,7 @@ mod tests {
         // Verification transforms nothing, so it prices to a zero delta.
         assert_eq!(run.trace[3].priced.as_ref().unwrap().area_delta(), 0.0);
         // Without a model the same pipeline records no priced entries.
-        let blind = FlowPipeline::for_config(FlowConfig::default())
-            .run(&g)
-            .unwrap();
+        let blind = paper_flow().run(&g).unwrap();
         assert!(blind.trace.iter().all(|s| s.priced.is_none()));
     }
 
@@ -1296,11 +1526,11 @@ mod tests {
         let refs: Vec<&Mig> = graphs.iter().collect();
         let table = crate::cost::CostTable::from_model(&FlatModel);
         let models = vec![table.clone(), table];
-        let spec = crate::spec::PipelineSpec::for_config(FlowConfig::default());
-        let engine = crate::engine::Engine::uncached();
+        let spec = PipelineSpec::default();
+        let engine = crate::engine::Engine::new().with_cache_capacity(0);
         let cells = engine.run_pipeline_grid(&spec, &refs, &models).unwrap();
         assert_eq!(cells.len(), graphs.len() * models.len());
-        let pipeline = FlowPipeline::for_config(FlowConfig::default());
+        let pipeline = paper_flow();
         for (i, cell) in cells.iter().enumerate() {
             assert_eq!(cell.circuit, i / models.len());
             assert_eq!(cell.technology, Some(i % models.len()));

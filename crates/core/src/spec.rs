@@ -15,10 +15,10 @@
 //! instead of a hand-assembled builder chain:
 //!
 //! ```
-//! use wavepipe::{FlowConfig, FlowSpec, PipelineSpec};
+//! use wavepipe::{FlowSpec, PipelineSpec};
 //!
 //! let spec = FlowSpec::new("fo3-buf")
-//!     .with_pipeline(PipelineSpec::for_config(FlowConfig::default()))
+//!     .with_pipeline(PipelineSpec::default())
 //!     .circuit("SASC")
 //!     .circuit("HAMMING");
 //! let json = spec.to_json();
@@ -33,7 +33,6 @@ use mig::EquivalencePolicy;
 use serde::{object, DeError, Deserialize, Serialize, Value};
 
 use crate::cost::CostTable;
-use crate::flow::FlowConfig;
 use crate::fnv::Fnv;
 use crate::pipeline::{BufferStrategy, FlowPipeline, PipelineError};
 use crate::weighted::DelayWeights;
@@ -106,16 +105,13 @@ impl fmt::Display for SpecError {
             SpecError::Synthetic { name, reason } => {
                 write!(f, "synthetic circuit `{name}` is malformed: {reason}")
             }
-            SpecError::FanoutLimitOutOfRange(limit) => write!(
-                f,
-                "fan-out limit {limit} is outside the feasible range 2..=5 (§IV)"
-            ),
-            SpecError::DelayWeightsOutOfRange(w) => write!(
-                f,
-                "delay weights (inv {}, maj {}, buf {}, fog {}) are out of range: buf must be \
-                 at least 1 and every weight at most {MAX_DELAY_WEIGHT}",
-                w.inv, w.maj, w.buf, w.fog
-            ),
+            // One text per range rule, shared with the builder's error.
+            SpecError::FanoutLimitOutOfRange(limit) => {
+                PipelineError::FanoutLimitOutOfRange(*limit).fmt(f)
+            }
+            SpecError::DelayWeightsOutOfRange(w) => {
+                PipelineError::DelayWeightsOutOfRange(*w).fmt(f)
+            }
             SpecError::CostAwareWithoutTechnology => write!(
                 f,
                 "pipeline uses a cost-aware pass but the spec targets no technology"
@@ -254,15 +250,32 @@ pub struct PipelineSpec {
 /// balancing inserts, within a small multiple of the unit-delay flow's.
 pub const MAX_DELAY_WEIGHT: u32 = 16;
 
+/// Whether `limit` is a feasible §IV fan-out limit (`2..=5`).
+pub(crate) fn fanout_limit_in_range(limit: u32) -> bool {
+    (2..=5).contains(&limit)
+}
+
+/// Whether a weighted pass accepts `w`: a buffer weight of at least 1
+/// and every weight at most [`MAX_DELAY_WEIGHT`].
+pub(crate) fn delay_weights_in_range(w: &DelayWeights) -> bool {
+    w.buf != 0
+        && [w.inv, w.maj, w.buf, w.fog]
+            .iter()
+            .all(|&x| x <= MAX_DELAY_WEIGHT)
+}
+
 /// Largest exhaustive ceiling [`FlowSpec::validate`] accepts for the
 /// equivalence gate — 2^24 patterns per pass boundary is already ~256k
 /// block evaluations.
 pub const MAX_EXHAUSTIVE_GATE_INPUTS: u32 = 24;
 
 impl Default for PipelineSpec {
-    /// The paper's default flow: FO3 + BUF + verify.
+    /// The paper's default flow (§V): FO3 + BUF + verify.
     fn default() -> PipelineSpec {
-        PipelineSpec::for_config(FlowConfig::default())
+        PipelineSpec::map(false)
+            .restrict_fanout(3)
+            .insert_buffers(BufferStrategy::Asap)
+            .verify(Some(3))
     }
 }
 
@@ -274,24 +287,6 @@ impl PipelineSpec {
             passes: Vec::new(),
             equivalence_gate: None,
         }
-    }
-
-    /// The declarative form of the default pipeline for a
-    /// [`FlowConfig`] — the exact pass sequence the legacy `run_flow`
-    /// hardcoded.
-    pub fn for_config(config: FlowConfig) -> PipelineSpec {
-        let mut spec = PipelineSpec::map(config.minimize_inverters);
-        if let Some(limit) = config.fanout_limit {
-            spec = spec.restrict_fanout(limit);
-        }
-        if config.insert_buffers {
-            spec = spec
-                .insert_buffers(BufferStrategy::Asap)
-                .verify(config.fanout_limit);
-        } else if let Some(limit) = config.fanout_limit {
-            spec = spec.check_fanout_bound(limit);
-        }
-        spec
     }
 
     /// Appends a depth-oriented MIG rewrite pass. Rewrite passes must
@@ -388,16 +383,13 @@ impl PipelineSpec {
         for pass in &self.passes {
             match pass {
                 PassSpec::RestrictFanout { limit } | PassSpec::CheckFanoutBound { limit }
-                    if !(2..=5).contains(limit) =>
+                    if !fanout_limit_in_range(*limit) =>
                 {
                     return Err(SpecError::FanoutLimitOutOfRange(*limit));
                 }
                 PassSpec::InsertBuffers(BufferStrategy::Weighted(w))
                 | PassSpec::VerifyWeighted(w)
-                    if w.buf == 0
-                        || [w.inv, w.maj, w.buf, w.fog]
-                            .iter()
-                            .any(|&x| x > MAX_DELAY_WEIGHT) =>
+                    if !delay_weights_in_range(w) =>
                 {
                     return Err(SpecError::DelayWeightsOutOfRange(*w));
                 }
@@ -1202,20 +1194,18 @@ mod tests {
     }
 
     #[test]
-    fn for_config_matches_the_builder_wiring() {
-        let spec = PipelineSpec::for_config(FlowConfig::default());
-        let pipeline = spec.build().unwrap();
+    fn default_spec_matches_the_builder_wiring() {
+        let builder = FlowPipeline::builder()
+            .map(false)
+            .restrict_fanout(3)
+            .insert_buffers(BufferStrategy::Asap)
+            .verify(Some(3))
+            .build()
+            .unwrap();
         assert_eq!(
-            pipeline.pass_names(),
-            FlowPipeline::for_config(FlowConfig::default()).pass_names()
+            PipelineSpec::default().build().unwrap().pass_names(),
+            builder.pass_names()
         );
-
-        let fo_only = PipelineSpec::for_config(FlowConfig {
-            fanout_limit: Some(4),
-            insert_buffers: false,
-            minimize_inverters: false,
-        });
-        assert_eq!(fo_only.passes.len(), 2, "restrict + bound check");
     }
 
     #[test]

@@ -215,7 +215,12 @@ mod tests {
             depth: 9,
             seed: 71,
         });
-        let r = crate::flow::run_flow(&g, crate::flow::FlowConfig::default()).unwrap();
+        let r = crate::PipelineSpec::default()
+            .build()
+            .unwrap()
+            .run(&g)
+            .unwrap()
+            .result;
         let report = GrowthReport::between(&r.original, &r.pipelined);
         assert_eq!(report.buffers_added, r.buffers.unwrap().total());
         assert_eq!(report.fogs_added, r.fanout.unwrap().fogs_inserted);

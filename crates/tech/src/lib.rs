@@ -4,15 +4,15 @@
 //! Spin Wave Devices, Quantum-dot Cellular Automata and NanoMagnetic
 //! Logic — with the cell constants and relative component costs of its
 //! Table I, plus the metrics engine that turns a
-//! [`wavepipe::FlowResult`] into the area / power / throughput / T-A /
-//! T-P numbers of Table II and Fig 9.
+//! [`wavepipe::FlowResult`] (the `result` of a pipeline run) into the
+//! area / power / throughput / T-A / T-P numbers of Table II and Fig 9.
 //!
 //! ```
 //! use mig::Mig;
 //! use tech::{compare, Technology};
-//! use wavepipe::{run_flow, FlowConfig};
+//! use wavepipe::PipelineSpec;
 //!
-//! # fn main() -> Result<(), wavepipe::BalanceError> {
+//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut g = Mig::new();
 //! let a = g.add_input("a");
 //! let b = g.add_input("b");
@@ -21,7 +21,8 @@
 //! g.add_output("s", s);
 //! g.add_output("c", c);
 //!
-//! let result = run_flow(&g, FlowConfig::default())?;
+//! // The paper's flow: fan-out restriction to 3, buffer insertion, verify.
+//! let result = PipelineSpec::default().build()?.run(&g)?.result;
 //! for technology in Technology::all() {
 //!     let row = compare(&result, &technology);
 //!     // Wave pipelining never loses on raw throughput (it ties only

@@ -172,9 +172,15 @@ pub fn compare_with_table(result: &FlowResult, table: &CostTable) -> Comparison 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wavepipe::{run_flow, FlowConfig};
+    use wavepipe::{FlowResult, PipelineSpec};
 
-    fn flow_sample(seed: u64) -> wavepipe::FlowResult {
+    /// The paper's flow (FO3 + BUF + verify) on `g`.
+    fn paper_flow(g: &mig::Mig) -> FlowResult {
+        let pipeline = PipelineSpec::default().build().unwrap();
+        pipeline.run(g).unwrap().result
+    }
+
+    fn flow_sample(seed: u64) -> FlowResult {
         let g = mig::random_mig(mig::RandomMigConfig {
             inputs: 12,
             outputs: 6,
@@ -182,7 +188,7 @@ mod tests {
             depth: 12,
             seed,
         });
-        run_flow(&g, FlowConfig::default()).unwrap()
+        paper_flow(&g)
     }
 
     #[test]
@@ -283,7 +289,7 @@ mod tests {
                 depth: 6,
                 seed: 7,
             });
-            compare(&run_flow(&g, FlowConfig::default()).unwrap(), &t)
+            compare(&paper_flow(&g), &t)
         };
         let deep = {
             let g = mig::random_mig(mig::RandomMigConfig {
@@ -293,7 +299,7 @@ mod tests {
                 depth: 30,
                 seed: 8,
             });
-            compare(&run_flow(&g, FlowConfig::default()).unwrap(), &t)
+            compare(&paper_flow(&g), &t)
         };
         assert!(deep.tp_gain() > shallow.tp_gain());
     }

@@ -99,7 +99,7 @@ mod tests {
     use super::*;
     use crate::metrics::{compare, evaluate, OperatingMode};
     use crate::technology::Technology;
-    use wavepipe::{run_flow, FlowConfig};
+    use wavepipe::PipelineSpec;
 
     #[test]
     fn geometric_mean_of_ratios() {
@@ -123,7 +123,12 @@ mod tests {
             depth: 6,
             seed: 77,
         });
-        let r = run_flow(&g, FlowConfig::default()).unwrap();
+        let r = PipelineSpec::default()
+            .build()
+            .unwrap()
+            .run(&g)
+            .unwrap()
+            .result;
         let row = BenchmarkRow {
             benchmark: "RAND".to_owned(),
             comparison: compare(&r, &Technology::swd()),

@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // engine on the work-pulling scheduler (cost-blind: one cell per
     // circuit; pricing happens post-hoc against SWD below).
     let engine = Engine::new();
-    let pipeline = PipelineSpec::for_config(FlowConfig::default());
+    let pipeline = PipelineSpec::default();
     let graphs: Vec<&Mig> = built.iter().map(|(_, g)| g).collect();
     let cells = engine.run_pipeline_grid(&pipeline, &graphs, &[])?;
     for ((name, _), cell) in built.iter().zip(cells) {

@@ -15,7 +15,7 @@ use wave_pipelining::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let g = find_benchmark("HAMMING").expect("suite benchmark").build();
-    let result = run_flow(&g, FlowConfig::default())?;
+    let result = PipelineSpec::default().build()?.run(&g)?.result;
 
     println!("benchmark: {g}");
     println!(

@@ -20,7 +20,7 @@ const CHECKED_IN: &str = include_str!("engine_spec.json");
 /// Table I technologies.
 fn canonical_spec() -> FlowSpec {
     let mut spec = FlowSpec::new("engine-spec-demo")
-        .with_pipeline(PipelineSpec::for_config(FlowConfig::default()))
+        .with_pipeline(PipelineSpec::default())
         .circuit("SASC")
         .circuit("ADD32R")
         .circuit("CMP32");

@@ -15,7 +15,13 @@ fn main() {
     // 1. The paper's default flow (FO3 + BUF), as an explicit pipeline.
     //    Every run records wall time, component delta and depth change
     //    per pass.
-    let default_flow = FlowPipeline::for_config(FlowConfig::default());
+    let default_flow = FlowPipeline::builder()
+        .map(false)
+        .restrict_fanout(3)
+        .insert_buffers(BufferStrategy::Asap)
+        .verify(Some(3))
+        .build()
+        .expect("well-ordered pipeline");
     let run = default_flow.run(&g).expect("flow verifies");
     println!("default flow on HAMMING:");
     print!("{}", run.trace_table());

@@ -24,9 +24,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     g.add_output("cout", carry);
     println!("MIG: {g}");
 
-    // 2. Run the paper's flow: fan-out restriction to 3, then buffer
-    //    insertion (Algorithm 1). The result is verified automatically.
-    let result = run_flow(&g, FlowConfig::default())?;
+    // 2. Run the paper's flow, `PipelineSpec::default()`: fan-out
+    //    restriction to 3, then buffer insertion (Algorithm 1), then
+    //    verification of the result.
+    let result = PipelineSpec::default().build()?.run(&g)?.result;
     let report = result.report.expect("flow verifies its output");
     println!("original netlist:   {}", result.original);
     println!("wave-pipelined:     {}", result.pipelined);

@@ -25,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("benchmark: {} — {}", spec.name, spec.description);
     println!("MIG: {g}\n");
 
-    let result = run_flow(&g, FlowConfig::default())?;
+    let result = PipelineSpec::default().build()?.run(&g)?.result;
     if let Some(fo) = result.fanout {
         println!(
             "fan-out restriction (k=3): {} FOGs inserted, {} components split, \

@@ -21,7 +21,7 @@
 //! ```
 //! use wave_pipelining::prelude::*;
 //!
-//! # fn main() -> Result<(), wavepipe::BalanceError> {
+//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! // 1. Build (or load) a MIG.
 //! let mut g = Mig::new();
 //! let a = g.add_input("a");
@@ -31,8 +31,9 @@
 //! g.add_output("sum", sum);
 //! g.add_output("cout", cout);
 //!
-//! // 2. Enable wave pipelining: fan-out restriction to 3 + balancing.
-//! let result = run_flow(&g, FlowConfig::default())?;
+//! // 2. Enable wave pipelining: the paper's flow (fan-out restriction
+//! //    to 3, buffer insertion, verification) as a pipeline spec.
+//! let result = PipelineSpec::default().build()?.run(&g)?.result;
 //!
 //! // 3. Evaluate on a beyond-CMOS technology.
 //! let row = compare(&result, &Technology::swd());
@@ -57,7 +58,7 @@ pub mod prelude {
     pub use mig::{check_equivalence, optimize_depth, optimize_size, Mig, Signal};
     pub use tech::{compare, evaluate, CostModel, OperatingMode, Technology};
     pub use wavepipe::{
-        insert_buffers, netlist_from_mig, restrict_fanout, run_flow, verify_balance, Engine,
-        FlowConfig, FlowError, FlowSpec, Netlist, PipelineSpec, WaveSimulator,
+        insert_buffers, netlist_from_mig, restrict_fanout, verify_balance, Engine, FlowError,
+        FlowSpec, Netlist, PipelineSpec, WaveSimulator,
     };
 }

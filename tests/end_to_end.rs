@@ -5,13 +5,19 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use wave_pipelining::prelude::*;
-use wavepipe::WaveSimulator;
+use wavepipe::{BufferStrategy, FlowResult, WaveSimulator};
 
 /// Benchmarks small enough to run the full pipeline + simulation in a
 /// debug-build test.
 const SMALL: [&str; 10] = [
     "SASC", "ADD32R", "ADD32KS", "MUL8", "HAMMING", "CRC8x64", "ALU16", "CMP32", "DEC6", "MEDS32x8",
 ];
+
+/// Runs `spec` on `g`: the flow result of a verified run.
+fn run(spec: &PipelineSpec, g: &Mig) -> FlowResult {
+    let pipeline = spec.build().expect("well-ordered spec");
+    pipeline.run(g).expect("flow verifies").result
+}
 
 fn random_patterns(inputs: usize, count: usize, seed: u64) -> Vec<Vec<bool>> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -24,7 +30,7 @@ fn random_patterns(inputs: usize, count: usize, seed: u64) -> Vec<Vec<bool>> {
 fn flow_preserves_function_on_small_suite() {
     for name in SMALL {
         let g = find_benchmark(name).expect("suite benchmark").build();
-        let result = run_flow(&g, FlowConfig::default()).expect("flow verifies");
+        let result = run(&PipelineSpec::default(), &g);
         let sim = mig::Simulator::new(&g);
         for pattern in random_patterns(g.input_count(), 24, 0xE2E) {
             assert_eq!(
@@ -40,7 +46,7 @@ fn flow_preserves_function_on_small_suite() {
 fn flow_satisfies_all_invariants_on_small_suite() {
     for name in SMALL {
         let g = find_benchmark(name).expect("suite benchmark").build();
-        let result = run_flow(&g, FlowConfig::default()).expect("flow verifies");
+        let result = run(&PipelineSpec::default(), &g);
         let report =
             verify_balance(&result.pipelined, Some(3)).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(report.depth, result.pipelined.depth());
@@ -67,7 +73,7 @@ fn flow_satisfies_all_invariants_on_small_suite() {
 fn wave_streaming_is_coherent_on_small_suite() {
     for name in ["SASC", "MUL8", "ALU16", "DEC6", "MEDS32x8"] {
         let g = find_benchmark(name).expect("suite benchmark").build();
-        let result = run_flow(&g, FlowConfig::default()).expect("flow verifies");
+        let result = run(&PipelineSpec::default(), &g);
         let waves = random_patterns(g.input_count(), 20, 0x3A3E);
         let corrupted = WaveSimulator::new(&result.pipelined).check_against_golden(&waves);
         assert!(
@@ -84,7 +90,7 @@ fn optimization_then_flow_keeps_equivalence() {
     assert!(outcome.after <= outcome.before);
     assert!(check_equivalence(&g, &opt).expect("same interface").holds());
 
-    let result = run_flow(&opt, FlowConfig::default()).expect("flow verifies");
+    let result = run(&PipelineSpec::default(), &opt);
     let sim = mig::Simulator::new(&g);
     for pattern in random_patterns(g.input_count(), 32, 77) {
         assert_eq!(sim.eval(&pattern), result.pipelined.eval(&pattern));
@@ -95,15 +101,11 @@ fn optimization_then_flow_keeps_equivalence() {
 fn every_fanout_limit_works_end_to_end() {
     let g = find_benchmark("SASC").expect("suite benchmark").build();
     for limit in 2..=5u32 {
-        let result = run_flow(
-            &g,
-            FlowConfig {
-                fanout_limit: Some(limit),
-                insert_buffers: true,
-                ..FlowConfig::default()
-            },
-        )
-        .unwrap_or_else(|e| panic!("limit {limit}: {e}"));
+        let spec = PipelineSpec::map(false)
+            .restrict_fanout(limit)
+            .insert_buffers(BufferStrategy::Asap)
+            .verify(Some(limit));
+        let result = run(&spec, &g);
         assert!(result.pipelined.max_fanout() <= limit);
         let waves = random_patterns(g.input_count(), 8, limit as u64);
         let corrupted = WaveSimulator::new(&result.pipelined).check_against_golden(&waves);
@@ -132,7 +134,7 @@ fn weighted_balancing_composes_with_fanout_restriction() {
 #[test]
 fn netlist_io_roundtrips_after_the_flow() {
     let g = find_benchmark("SASC").expect("suite benchmark").build();
-    let result = run_flow(&g, FlowConfig::default()).expect("flow verifies");
+    let result = run(&PipelineSpec::default(), &g);
     let text = wavepipe::io::write_netlist(&result.pipelined);
     let parsed = wavepipe::io::parse_netlist(&text).expect("own output parses");
     assert_eq!(parsed.counts(), result.pipelined.counts());

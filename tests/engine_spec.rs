@@ -1,13 +1,13 @@
 //! Acceptance tests for the engine-facade redesign: `FlowSpec` JSON
 //! round-trips, spec validation rejects malformed experiments, and
-//! `Engine`-driven runs are bit-identical to `run_flow` and to direct
-//! pipeline runs — with a warm-cache re-run performing
+//! `Engine`-driven runs are bit-identical to direct pipeline runs, cost
+//! blind and priced — with a warm-cache re-run performing
 //! **zero pass executions** (pinned via the engine's `PassStats`-derived
 //! counters) while returning identical results.
 
 use tech::Technology;
 use wave_pipelining::prelude::*;
-use wavepipe::{BufferStrategy, CostTable, FlowPipeline, PipelineError, SpecError};
+use wavepipe::{BufferStrategy, CostTable, PipelineError, SpecError};
 use wavepipe_bench::harness::{build_suite, QUICK_SUBSET};
 
 fn suite_engine() -> Engine {
@@ -130,9 +130,9 @@ fn out_of_range_delay_weights_are_rejected_before_anything_runs() {
 }
 
 #[test]
-fn engine_runs_are_bit_identical_to_run_flow_on_the_suite() {
-    // The legacy wrapper and the spec-driven engine must agree exactly,
-    // circuit by circuit.
+fn cost_blind_engine_runs_are_bit_identical_to_direct_runs_on_the_suite() {
+    // A direct run of the spec's pipeline and the spec-driven engine
+    // must agree exactly, circuit by circuit.
     let engine = suite_engine();
     let suite = build_suite(Some(&QUICK_SUBSET));
     let spec = {
@@ -140,36 +140,37 @@ fn engine_runs_are_bit_identical_to_run_flow_on_the_suite() {
         for (bench, _) in &suite {
             spec = spec.circuit(bench.name); // suite order
         }
-        spec // cost-blind: run_flow is cost-blind too
+        spec // cost-blind, like the direct runs
     };
+    let pipeline = spec.pipeline.build().expect("well-ordered");
     let run = engine.run(&spec).expect("suite verifies");
     assert_eq!(run.circuits.len(), suite.len());
     for cell in &run {
         let (bench, g) = &suite[cell.circuit];
         assert_eq!(bench.name, run.circuits[cell.circuit]);
         let engine_result = &cell.outcome.as_ref().expect("verifies").result;
-        let legacy = run_flow(g, FlowConfig::default()).expect("legacy verifies");
+        let direct = pipeline.run(g).expect("direct run verifies").result;
         assert_eq!(
             engine_result.original.counts(),
-            legacy.original.counts(),
+            direct.original.counts(),
             "{}",
             bench.name
         );
         assert_eq!(
             engine_result.pipelined.counts(),
-            legacy.pipelined.counts(),
+            direct.pipelined.counts(),
             "{}",
             bench.name
         );
         assert_eq!(
             engine_result.pipelined.depth(),
-            legacy.pipelined.depth(),
+            direct.pipelined.depth(),
             "{}",
             bench.name
         );
-        assert_eq!(engine_result.report, legacy.report, "{}", bench.name);
-        assert_eq!(engine_result.fanout, legacy.fanout, "{}", bench.name);
-        assert_eq!(engine_result.buffers, legacy.buffers, "{}", bench.name);
+        assert_eq!(engine_result.report, direct.report, "{}", bench.name);
+        assert_eq!(engine_result.fanout, direct.fanout, "{}", bench.name);
+        assert_eq!(engine_result.buffers, direct.buffers, "{}", bench.name);
     }
 }
 
@@ -180,7 +181,7 @@ fn engine_grid_is_bit_identical_to_direct_runs_on_the_suite() {
     let engine = suite_engine();
     let suite = build_suite(Some(&QUICK_SUBSET));
     let models = tables();
-    let pipeline = FlowPipeline::for_config(FlowConfig::default());
+    let pipeline = PipelineSpec::default().build().expect("well-ordered");
     let spec = {
         let mut spec = FlowSpec::new("grid-golden");
         for (bench, _) in &suite {

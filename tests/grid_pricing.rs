@@ -1,14 +1,21 @@
 //! Golden tests for the cost-model layer: an engine grid sweep must price
-//! exactly what the legacy post-hoc `compare()` path reports, and the
+//! exactly what post-hoc `compare()` of a cost-blind run reports, and the
 //! per-pass priced deltas must be invariant under every pass reordering
 //! the pipeline builder permits.
 
 use proptest::prelude::*;
 use tech::{compare, evaluate, OperatingMode, Technology};
 use wavepipe::{
-    run_flow, BufferStrategy, FlowConfig, FlowContext, FlowPipeline, Pass, PassError, PricedCost,
+    BufferStrategy, FlowContext, FlowPipeline, FlowResult, Pass, PassError, PipelineSpec,
+    PricedCost,
 };
 use wavepipe_bench::harness::{build_suite, engine, evaluate_suite_grid, QUICK_SUBSET};
+
+/// A cost-blind run of the paper's flow, the post-hoc pricing input.
+fn blind_flow(g: &mig::Mig) -> FlowResult {
+    let pipeline = PipelineSpec::default().build().expect("well-ordered");
+    pipeline.run(g).expect("cost-blind flow verifies").result
+}
 
 #[test]
 fn grid_comparisons_match_post_hoc_compare_on_quick_suite() {
@@ -21,10 +28,10 @@ fn grid_comparisons_match_post_hoc_compare_on_quick_suite() {
     assert_eq!(grid.evaluated.len(), suite.len());
     for ((spec, g), (name, comparisons)) in suite.iter().zip(&grid.evaluated) {
         assert_eq!(spec.name, name);
-        let legacy = run_flow(g, FlowConfig::default()).expect("legacy flow verifies");
+        let blind = blind_flow(g);
         for (technology, gridded) in technologies.iter().zip(comparisons) {
             assert_eq!(
-                compare(&legacy, technology),
+                compare(&blind, technology),
                 *gridded,
                 "{} @ {}: grid diverged from post-hoc compare()",
                 spec.name,
@@ -49,21 +56,21 @@ fn grid_priced_traces_match_post_hoc_evaluation_exactly() {
             .iter()
             .find(|tech| tech.name == t.technology)
             .expect("trace names a known technology");
-        let legacy = run_flow(g, FlowConfig::default()).expect("legacy flow verifies");
+        let blind = blind_flow(g);
         let label = format!("{} @ {}", t.circuit, t.technology);
 
         // After the map pass the working netlist IS the original
         // mapping, so its priced state must equal the post-hoc original
         // evaluation bit-for-bit.
         let map = t.trace.first().unwrap().priced.as_ref().unwrap();
-        let original = evaluate(&legacy.original, technology, OperatingMode::Combinational);
+        let original = evaluate(&blind.original, technology, OperatingMode::Combinational);
         assert_eq!(map.after.area, original.area.value(), "{label}");
         assert_eq!(map.after.energy, original.energy.value(), "{label}");
         assert_eq!(map.after.latency, original.latency.value(), "{label}");
 
         // The final pass prices the wave-pipelined netlist.
         let last = t.trace.last().unwrap().priced.as_ref().unwrap();
-        let pipelined = evaluate(&legacy.pipelined, technology, OperatingMode::WavePipelined);
+        let pipelined = evaluate(&blind.pipelined, technology, OperatingMode::WavePipelined);
         assert_eq!(last.after.area, pipelined.area.value(), "{label}");
         assert_eq!(last.after.energy, pipelined.energy.value(), "{label}");
         assert_eq!(last.after.latency, pipelined.latency.value(), "{label}");

@@ -12,9 +12,7 @@ use std::fs;
 use mig::cone::ConePartition;
 use mig::{Mig, NodeId, Signal};
 use proptest::prelude::*;
-use wavepipe::{
-    persist, BufferStrategy, Engine, EngineEdit, EquivalencePolicy, FlowConfig, PipelineSpec,
-};
+use wavepipe::{persist, BufferStrategy, Engine, EngineEdit, EquivalencePolicy, PipelineSpec};
 
 fn pipeline() -> PipelineSpec {
     PipelineSpec::map(false)
@@ -172,8 +170,7 @@ proptest! {
 #[test]
 fn composed_max_fanout_matches_a_merged_scan() {
     let engine = Engine::new();
-    let mut session =
-        engine.incremental(sample(7), PipelineSpec::for_config(FlowConfig::default()));
+    let mut session = engine.incremental(sample(7), PipelineSpec::default());
     let cold = session.run().unwrap();
     let report = cold
         .run

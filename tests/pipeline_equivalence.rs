@@ -1,31 +1,30 @@
-//! Golden tests for the pass-pipeline refactor: the default
-//! [`FlowPipeline`] must be *result-equivalent* to the legacy 4-call
-//! flow sequence, the parallel batch driver must be a pure
-//! parallelization, and the pipeline builder must enforce pass
-//! ordering.
+//! Golden tests for the pass pipeline: the default [`PipelineSpec`]
+//! must be *result-equivalent* to the paper's flow as four direct
+//! calls, the parallel batch driver must be a pure parallelization, and
+//! the pipeline builder must enforce pass ordering.
 
 use proptest::prelude::*;
 use wave_pipelining::prelude::*;
 use wavepipe::{insert_buffers, verify_balance, BufferStrategy, FlowPipeline, PipelineError};
 use wavepipe_bench::harness::{build_suite, QUICK_SUBSET};
 
-/// The pre-refactor `run_flow` body, inlined as the golden reference:
+/// The paper's flow as four direct calls, the golden reference:
 /// map → restrict fan-out (3) → insert buffers → verify.
-fn legacy_default_flow(g: &mig::Mig) -> (Netlist, Netlist, wavepipe::BalanceReport) {
+fn four_call_flow(g: &mig::Mig) -> (Netlist, Netlist, wavepipe::BalanceReport) {
     let original = netlist_from_mig(g);
     let mut pipelined = original.clone();
     restrict_fanout(&mut pipelined, 3);
     insert_buffers(&mut pipelined);
-    let report = verify_balance(&pipelined, Some(3)).expect("legacy flow verifies");
+    let report = verify_balance(&pipelined, Some(3)).expect("four-call flow verifies");
     (original, pipelined, report)
 }
 
 #[test]
 fn default_pipeline_is_result_equivalent_to_legacy_flow_on_quick_suite() {
     let suite = build_suite(Some(&QUICK_SUBSET));
-    let pipeline = FlowPipeline::for_config(FlowConfig::default());
+    let pipeline = PipelineSpec::default().build().expect("well-ordered");
     for (spec, g) in &suite {
-        let (golden_original, golden_pipelined, golden_report) = legacy_default_flow(g);
+        let (golden_original, golden_pipelined, golden_report) = four_call_flow(g);
         let run = pipeline.run(g).expect("pipeline verifies");
 
         // Identical KindCounts…
@@ -55,11 +54,6 @@ fn default_pipeline_is_result_equivalent_to_legacy_flow_on_quick_suite() {
             "{}: balance report diverged",
             spec.name
         );
-
-        // run_flow (the thin wrapper) agrees too.
-        let wrapped = run_flow(g, FlowConfig::default()).expect("wrapper verifies");
-        assert_eq!(wrapped.pipelined.counts(), golden_pipelined.counts());
-        assert_eq!(wrapped.report, run.result.report);
     }
 }
 
@@ -68,18 +62,17 @@ fn batch_driver_matches_sequential_wrapper_on_quick_suite() {
     let suite = build_suite(Some(&QUICK_SUBSET));
     let graphs: Vec<&mig::Mig> = suite.iter().map(|(_, g)| g).collect();
     // The batch driver is the engine's cost-blind grid: one cell per
-    // graph on the work-pulling scheduler.
-    let batch = wavepipe::Engine::uncached()
-        .run_pipeline_grid(
-            &PipelineSpec::for_config(FlowConfig::default()),
-            &graphs,
-            &[],
-        )
-        .expect("config specs validate");
+    // graph on the work-pulling scheduler, every cell executed.
+    let pipeline = PipelineSpec::default();
+    let batch = wavepipe::Engine::new()
+        .with_cache_capacity(0)
+        .run_pipeline_grid(&pipeline, &graphs, &[])
+        .expect("the default spec validates");
     assert_eq!(batch.len(), suite.len());
+    let pipeline = pipeline.build().expect("well-ordered");
     for ((spec, g), cell) in suite.iter().zip(batch) {
         let parallel = &cell.outcome.expect("batch flow verifies").result;
-        let serial = run_flow(g, FlowConfig::default()).expect("serial flow verifies");
+        let serial = pipeline.run(g).expect("serial flow verifies").result;
         assert_eq!(
             parallel.pipelined.counts(),
             serial.pipelined.counts(),
@@ -94,7 +87,7 @@ fn batch_driver_matches_sequential_wrapper_on_quick_suite() {
 #[test]
 fn traces_account_for_every_inserted_component() {
     let suite = build_suite(Some(&["SASC", "CMP32"]));
-    let pipeline = FlowPipeline::for_config(FlowConfig::default());
+    let pipeline = PipelineSpec::default().build().expect("well-ordered");
     for (spec, g) in &suite {
         let run = pipeline.run(g).expect("pipeline verifies");
         let total_added: usize = run.trace.iter().map(|p| p.added.priced_total()).sum();

@@ -5,7 +5,10 @@
 
 use proptest::prelude::*;
 use wave_pipelining::prelude::*;
-use wavepipe::{balance, check_balance, weighted_arrivals, DelayWeights, WaveSimulator};
+use wavepipe::{
+    balance, check_balance, weighted_arrivals, BufferStrategy, DelayWeights, FlowResult,
+    WaveSimulator,
+};
 
 fn mig_config() -> impl Strategy<Value = mig::RandomMigConfig> {
     (3usize..10, 1usize..5, 2u32..9, 0u64..500).prop_flat_map(|(inputs, outputs, depth, seed)| {
@@ -27,6 +30,12 @@ fn patterns(inputs: usize, seed: u64) -> Vec<Vec<bool>> {
                 .collect()
         })
         .collect()
+}
+
+/// Runs `spec` on `g`: the flow result of a verified run.
+fn run(spec: &PipelineSpec, g: &mig::Mig) -> FlowResult {
+    let pipeline = spec.build().expect("well-ordered spec");
+    pipeline.run(g).expect("flow verifies on any input").result
 }
 
 proptest! {
@@ -64,10 +73,11 @@ proptest! {
     #[test]
     fn full_flow_always_verifies(config in mig_config(), limit in 2u32..6) {
         let g = mig::random_mig(config);
-        let result = run_flow(
-            &g,
-            FlowConfig { fanout_limit: Some(limit), insert_buffers: true, ..FlowConfig::default() },
-        ).expect("flow verifies on any input");
+        let spec = PipelineSpec::map(false)
+            .restrict_fanout(limit)
+            .insert_buffers(BufferStrategy::Asap)
+            .verify(Some(limit));
+        let result = run(&spec, &g);
         prop_assert!(result.pipelined.max_fanout() <= limit);
         prop_assert!(result.report.is_some());
     }
@@ -75,7 +85,7 @@ proptest! {
     #[test]
     fn balanced_netlists_stream_coherently(config in mig_config()) {
         let g = mig::random_mig(config);
-        let result = run_flow(&g, FlowConfig::default()).expect("flow verifies");
+        let result = run(&PipelineSpec::default(), &g);
         let waves = patterns(config.inputs, config.seed ^ 2);
         let corrupted = WaveSimulator::new(&result.pipelined).check_against_golden(&waves);
         prop_assert!(corrupted.is_empty(), "corrupted: {:?}", corrupted);

@@ -24,7 +24,7 @@ use rand::{Rng, SeedableRng};
 use wave_pipelining::prelude::*;
 use wavepipe::differential::{self, Verdict};
 use wavepipe::{
-    BufferStrategy, EquivalencePolicy, FlowConfig, FlowSpec, PipelineSpec, SynthSpec, WaveSimulator,
+    BufferStrategy, EquivalencePolicy, FlowSpec, PipelineSpec, SynthSpec, WaveSimulator,
 };
 
 /// Number of generated circuits (override with
@@ -223,10 +223,10 @@ fn alternative_pipelines_preserve_function_on_subsample() {
         ),
         (
             "min-inverters",
-            PipelineSpec::for_config(FlowConfig {
+            PipelineSpec {
                 minimize_inverters: true,
-                ..FlowConfig::default()
-            }),
+                ..PipelineSpec::default()
+            },
             Some(3),
         ),
     ];
@@ -294,18 +294,22 @@ fn small_suite_circuits_are_exhaustively_equivalent_across_all_configs() {
         ),
         (
             "min-inverters",
-            PipelineSpec::for_config(FlowConfig {
+            PipelineSpec {
                 minimize_inverters: true,
-                ..FlowConfig::default()
-            }),
+                ..PipelineSpec::default()
+            },
         ),
     ];
     let policy = EquivalencePolicy::exhaustive(16);
 
+    let graphs: Vec<&Mig> = small.iter().map(|(_, g)| g).collect();
     for (label, pipeline) in configs {
-        for (name, graph) in &small {
-            let run = engine
-                .run_graph(graph, &pipeline, None)
+        let cells = engine
+            .run_pipeline_grid(&pipeline, &graphs, &[])
+            .unwrap_or_else(|e| panic!("{label}: spec rejected: {e}"));
+        for ((name, graph), cell) in small.iter().zip(cells) {
+            let run = cell
+                .outcome
                 .unwrap_or_else(|e| panic!("{label}/{name}: flow failed: {e}"));
             match differential::check(&run.result.pipelined, graph, &policy).unwrap() {
                 Verdict::Equivalent {
@@ -481,7 +485,7 @@ fn rewrite_presets_meet_the_qor_contract() {
         "synth:shared:5:groups=64,width=24",
     ];
     let engine = Engine::new().with_resolver(benchsuite::build_mig);
-    let raw = PipelineSpec::for_config(FlowConfig::default());
+    let raw = PipelineSpec::default();
     let mut pipeline = PipelineSpec::map(raw.minimize_inverters)
         .optimize_depth(64)
         .optimize_size(64)
