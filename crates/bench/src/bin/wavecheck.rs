@@ -40,7 +40,7 @@
 use std::fs;
 use std::process::ExitCode;
 
-use wavepipe::{BufferStrategy, FlowPipeline, FlowSpec, LintReport, PassError};
+use wavepipe::{BufferStrategy, FlowPipeline, FlowSpec, LintReport, PassError, PassSpec};
 use wavepipe_bench::harness::QUICK_SUBSET;
 
 /// The §IV fan-out bound checked when `--fanout-limit` is not given
@@ -102,17 +102,31 @@ fn main() -> ExitCode {
     let mut builder = FlowPipeline::builder();
     if optimize {
         builder = builder
-            .optimize_depth(REWRITE_ROUNDS)
-            .optimize_size(REWRITE_ROUNDS);
+            .then(PassSpec::OptimizeDepth {
+                max_rounds: REWRITE_ROUNDS,
+            })
+            .then(PassSpec::OptimizeSize {
+                max_rounds: REWRITE_ROUNDS,
+            });
     }
-    let pipeline = builder
+    let built = builder
         .map(false)
-        .restrict_fanout(fanout_limit)
-        .insert_buffers(BufferStrategy::Asap)
-        .verify(Some(fanout_limit))
+        .then(PassSpec::RestrictFanout {
+            limit: fanout_limit,
+        })
+        .then(PassSpec::InsertBuffers(BufferStrategy::Asap))
+        .then(PassSpec::Verify {
+            fanout_limit: Some(fanout_limit),
+        })
         .gate_lints()
-        .build()
-        .expect("default wavecheck pipeline is well-ordered");
+        .build();
+    let pipeline = match built {
+        Ok(pipeline) => pipeline,
+        Err(e) => {
+            eprintln!("wavecheck: --fanout-limit {fanout_limit}: {e}");
+            return usage(2);
+        }
+    };
 
     let mut subjects = Vec::new();
     let mut flow_failures = 0usize;

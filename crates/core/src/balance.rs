@@ -238,11 +238,11 @@ fn check_fanout_bound(
 /// `verify(fo≤k)`, `verify(weighted)` or `verify(cost-aware)`.
 /// Unit-delay runs record the [`BalanceReport`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct VerifyBalancePass {
+pub(crate) struct VerifyBalancePass {
     /// The strategy whose delay weights the netlist was balanced under.
-    pub strategy: BufferStrategy,
+    pub(crate) strategy: BufferStrategy,
     /// Additionally enforce the §IV fan-out bound when given.
-    pub fanout_limit: Option<u32>,
+    pub(crate) fanout_limit: Option<u32>,
 }
 
 impl Pass for VerifyBalancePass {
@@ -280,9 +280,9 @@ impl Pass for VerifyBalancePass {
 /// Pipeline pass checking only the fan-out bound (the FOx-only
 /// configurations of Fig 8, which cannot balance).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FanoutBoundPass {
-    /// The fan-out bound to enforce.
-    pub limit: u32,
+pub(crate) struct FanoutBoundPass {
+    /// The fan-out bound to enforce (`2..=5`).
+    pub(crate) limit: u32,
 }
 
 impl Pass for FanoutBoundPass {

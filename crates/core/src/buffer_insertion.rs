@@ -234,7 +234,7 @@ impl LevelSchedule {
 /// Unit-delay runs fill the context's `buffers` slot, weighted ones
 /// `weighted`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct InsertBuffersPass(pub BufferStrategy);
+pub(crate) struct InsertBuffersPass(pub(crate) BufferStrategy);
 
 impl Pass for InsertBuffersPass {
     fn name(&self) -> String {

@@ -530,10 +530,11 @@ impl Engine {
     /// # Errors
     ///
     /// [`FlowError::Spec`] when the spec fails validation or a circuit
-    /// cannot be resolved; [`FlowError::Lint`] when the pre-run spec
+    /// cannot be resolved; [`FlowError::Pipeline`] when the pass list
+    /// is ill-ordered or a pass parameter is out of range (checked
+    /// before the lint); [`FlowError::Lint`] when the pre-run spec
     /// lint ([`crate::lint_spec`]) finds error-severity diagnostics
-    /// (e.g. a technology table that cannot time a wave);
-    /// [`FlowError::Pipeline`] when the pass list is ill-ordered.
+    /// (e.g. a technology table that cannot time a wave).
     /// Per-cell pass failures do **not** fail the run — they come back
     /// in each [`EngineCell::outcome`], so one failing circuit cannot
     /// poison a sweep.
@@ -543,6 +544,7 @@ impl Engine {
         sink: impl Fn(&EngineCell) + Sync,
     ) -> Result<EngineRun, FlowError> {
         spec.validate()?;
+        let pipeline = spec.pipeline.build()?;
         // Pre-run static analysis: a spec that validates structurally
         // can still be semantically hopeless (a zero phase delay prices
         // every wave at nothing). Reject on error-severity findings
@@ -552,7 +554,6 @@ impl Engine {
         if !diagnostics.is_empty() {
             return Err(FlowError::Lint(diagnostics));
         }
-        let pipeline = spec.pipeline.build()?;
         // Resolve (and for registry names, generate) the circuits in
         // parallel — suite builds are the expensive part of a cold
         // full-suite spec; the first failure wins, like a serial pass.
@@ -594,22 +595,22 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// [`FlowError::Spec`] / [`FlowError::Pipeline`] when the pipeline
-    /// spec is invalid; per-cell failures come back in the cells.
+    /// [`FlowError::Pipeline`] when the pipeline spec does not compile,
+    /// [`FlowError::Spec`] when it uses a cost-aware pass but `models`
+    /// is empty; per-cell failures come back in the cells.
     pub fn run_pipeline_grid(
         &self,
         pipeline: &PipelineSpec,
         graphs: &[&Mig],
         models: &[CostTable],
     ) -> Result<Vec<EngineCell>, FlowError> {
-        pipeline.validate()?;
+        let built = pipeline.build()?;
         // Same contract as FlowSpec::validate: a cost-aware pass with
         // nothing to price against is rejected upfront, not after the
         // mapping pass has already run in every cell.
         if pipeline.uses_cost_aware_passes() && models.is_empty() {
             return Err(SpecError::CostAwareWithoutTechnology.into());
         }
-        let built = pipeline.build()?;
         Ok(self.grid_cells(
             &built,
             pipeline.content_hash(),

@@ -208,9 +208,9 @@ pub fn restrict_fanout_prepared(
 /// Records its [`FanoutRestriction`] statistics and the enforced limit
 /// in the [`crate::pipeline::FlowContext`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FanoutRestrictionPass {
+pub(crate) struct FanoutRestrictionPass {
     /// The §IV fan-out limit (2–5).
-    pub limit: u32,
+    pub(crate) limit: u32,
 }
 
 impl crate::pipeline::Pass for FanoutRestrictionPass {
@@ -261,9 +261,9 @@ impl crate::pipeline::Pass for FanoutRestrictionPass {
 /// Fails with [`PassError::Custom`](crate::pipeline::PassError::Custom)
 /// when the run carries no cost model.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CostAwareFanoutPass {
+pub(crate) struct CostAwareFanoutPass {
     /// Candidate limits to price, tried in order (each must be ≥ 2).
-    pub candidates: Vec<u32>,
+    pub(crate) candidates: Vec<u32>,
 }
 
 impl Default for CostAwareFanoutPass {
@@ -291,7 +291,7 @@ impl crate::pipeline::Pass for CostAwareFanoutPass {
         let table = ctx.cost_model().cloned().ok_or_else(|| {
             crate::pipeline::PassError::Custom(
                 "cost-aware fan-out restriction needs a cost model \
-                 (FlowPipelineBuilder::with_cost_model or the grid driver)"
+                 (FlowPipeline::run_with_model or the grid driver)"
                     .to_owned(),
             )
         })?;

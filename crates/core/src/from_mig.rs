@@ -248,10 +248,10 @@ pub fn netlist_from_mig_min_inv(graph: &Mig) -> Netlist {
 /// Must be the first netlist pass of every [`crate::FlowPipeline`]
 /// (only MIG rewrite passes may precede it); the builder enforces this.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MapPass {
+pub(crate) struct MapPass {
     /// Use the polarity local search that minimizes materialized
     /// inverters.
-    pub minimize_inverters: bool,
+    pub(crate) minimize_inverters: bool,
 }
 
 impl crate::pipeline::Pass for MapPass {

@@ -6,9 +6,7 @@
 //! shared [`Engine`]. Every [`IncrementalSession::run`]:
 //!
 //! 1. decomposes the graph into per-output content-hashed cones
-//!    ([`mig::cone`]) and diffs the level-band subhashes against the
-//!    previous run (the *where in the depth profile did it change*
-//!    telemetry);
+//!    ([`mig::cone`]);
 //! 2. looks each **unique** cone hash up in the engine's tiered cache
 //!    (in-memory LRU, then the persistent disk tier) under a
 //!    cone-scoped key — only cones with no cached run are extracted
@@ -88,7 +86,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mig::cone::ConePartition;
-use mig::{EquivalencePolicy, Mig, Signal, DEFAULT_BAND_WIDTH};
+use mig::{EquivalencePolicy, Mig, Signal};
 use rayon::prelude::*;
 
 use crate::component::{CompId, ComponentKind};
@@ -98,7 +96,7 @@ use crate::netlist::{KindCounts, Netlist};
 use crate::pipeline::{
     BufferStrategy, FlowResult, PassError, PassStats, PipelineError, PipelineRun,
 };
-use crate::spec::{PassSpec, PipelineSpec, SpecError};
+use crate::spec::{PassSpec, PipelineSpec};
 use crate::verify::differential;
 use crate::{BalanceReport, BufferInsertion, FanoutRestriction, PricedDelta};
 
@@ -156,9 +154,8 @@ pub enum EngineEdit {
 /// Why an incremental run (or edit) failed.
 #[derive(Debug)]
 pub enum IncrementalError {
-    /// The effective pipeline spec failed validation.
-    Spec(SpecError),
-    /// The effective pass list is ill-ordered.
+    /// The effective pipeline spec does not compile (an ill-ordered
+    /// pass list or an out-of-range parameter).
     Pipeline(PipelineError),
     /// The session's configuration cannot run incrementally (weighted /
     /// cost-aware balancing, or a graph with no outputs).
@@ -184,7 +181,6 @@ pub enum IncrementalError {
 impl fmt::Display for IncrementalError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            IncrementalError::Spec(e) => write!(f, "{e}"),
             IncrementalError::Pipeline(e) => write!(f, "{e}"),
             IncrementalError::Unsupported(what) => {
                 write!(f, "unsupported incremental configuration: {what}")
@@ -206,12 +202,6 @@ impl fmt::Display for IncrementalError {
 }
 
 impl std::error::Error for IncrementalError {}
-
-impl From<SpecError> for IncrementalError {
-    fn from(e: SpecError) -> IncrementalError {
-        IncrementalError::Spec(e)
-    }
-}
 
 impl From<PipelineError> for IncrementalError {
     fn from(e: PipelineError) -> IncrementalError {
@@ -236,9 +226,6 @@ pub struct IncrementalOutcome {
     /// `true` when the whole merged result was answered from the
     /// `spliced`-scope cache without touching any cone.
     pub spliced_reused: bool,
-    /// Level bands whose subhash changed since the previous run of this
-    /// session (`None` on the first run — nothing to diff against).
-    pub dirty_bands: Option<Vec<usize>>,
     /// The differential gate's verdict, when the session verifies.
     pub verdict: Option<differential::Verdict>,
     /// Wall-clock microseconds the splice stage took (kept out of the
@@ -273,7 +260,6 @@ pub struct IncrementalSession<'e> {
     disabled: BTreeSet<usize>,
     model: Option<CostTable>,
     verify: Option<EquivalencePolicy>,
-    band_width: u32,
     last_partition: Option<ConePartition>,
     /// Per-region fan-out summaries — clean regions keep their summary
     /// across edits, so the merged report's max fan-out composes
@@ -292,7 +278,6 @@ impl Engine {
             disabled: BTreeSet::new(),
             model: None,
             verify: None,
-            band_width: DEFAULT_BAND_WIDTH,
             last_partition: None,
             fanout_cache: HashMap::new(),
         }
@@ -312,23 +297,6 @@ impl IncrementalSession<'_> {
     /// graph; a diverging splice fails the run with the counterexample.
     pub fn with_verification(mut self, policy: EquivalencePolicy) -> Self {
         self.verify = Some(policy);
-        self
-    }
-
-    /// Sets the level-band width of the dirty-band telemetry
-    /// (default [`DEFAULT_BAND_WIDTH`] levels per band).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bands` is zero.
-    pub fn with_band_width(mut self, bands: u32) -> Self {
-        assert!(bands > 0, "band width must be positive");
-        if bands != self.band_width {
-            // A cached partition folded at the old width cannot be
-            // refreshed into the new one.
-            self.last_partition = None;
-        }
-        self.band_width = bands;
         self
     }
 
@@ -454,16 +422,15 @@ impl IncrementalSession<'_> {
     /// # Errors
     ///
     /// [`IncrementalError::Unsupported`] for configurations incremental
-    /// execution cannot honor, [`IncrementalError::Spec`] /
-    /// [`IncrementalError::Pipeline`] for invalid pipelines,
-    /// [`IncrementalError::ConeFailed`] when a cone's run fails, and
+    /// execution cannot honor, [`IncrementalError::Pipeline`] for
+    /// pipelines that do not compile, [`IncrementalError::ConeFailed`]
+    /// when a cone's run fails, and
     /// [`IncrementalError::Diverged`] /
     /// [`IncrementalError::Differential`] from the optional equivalence
     /// gate.
     pub fn run(&mut self) -> Result<IncrementalOutcome, IncrementalError> {
         let spec = self.effective_pipeline();
         self.screen_supported(&spec)?;
-        spec.validate()?;
         let flow = spec.build()?;
         let pipe_hash = spec.content_hash();
         let tech = self
@@ -472,22 +439,15 @@ impl IncrementalSession<'_> {
             .map_or(COST_BLIND, CostTable::content_hash);
         let caching = self.engine.caching_enabled();
 
-        // Cone decomposition + level-band diff against the last run.
-        // Session edits only ever append arena nodes or retarget
-        // outputs, so a previous partition can be refreshed instead of
-        // re-analyzed: node hashes extend and clean cones keep their
-        // identity without a traversal.
-        let previous = self.last_partition.take();
-        let partition = match &previous {
+        // Cone decomposition. Session edits only ever append arena
+        // nodes or retarget outputs, so a previous partition can be
+        // refreshed instead of re-analyzed: node hashes extend and
+        // clean cones keep their identity without a traversal.
+        let partition = match self.last_partition.take() {
             Some(earlier) => earlier.refresh(&self.graph),
-            None => ConePartition::with_band_width(&self.graph, self.band_width),
+            None => ConePartition::analyze(&self.graph),
         };
-        let dirty_bands = previous
-            .as_ref()
-            .map(|earlier| diff_bands(partition.band_hashes(), earlier.band_hashes()));
-        drop(previous);
-        self.last_partition = Some(partition);
-        let partition = self.last_partition.as_ref().expect("partition just cached");
+        let partition = &*self.last_partition.insert(partition);
 
         // Unique cones, in first-seen output order (deterministic).
         let mut order: Vec<u64> = Vec::new();
@@ -517,7 +477,6 @@ impl IncrementalSession<'_> {
                     cones_reused: order.len() as u64,
                     cones_recomputed: 0,
                     spliced_reused: true,
-                    dirty_bands,
                     verdict: None,
                     splice_micros: 0,
                 });
@@ -646,23 +605,10 @@ impl IncrementalSession<'_> {
             cones_reused: reused,
             cones_recomputed: recomputed,
             spliced_reused: false,
-            dirty_bands,
             verdict,
             splice_micros,
         })
     }
-}
-
-/// Band indices where `now` and `earlier` disagree (bands present on
-/// only one side count as dirty) — same contract as
-/// [`ConePartition::dirty_bands`], over raw subhash vectors.
-fn diff_bands(now: &[u64], earlier: &[u64]) -> Vec<usize> {
-    let common = now.len().min(earlier.len());
-    let longest = now.len().max(earlier.len());
-    (0..common)
-        .filter(|&b| now[b] != earlier[b])
-        .chain(common..longest)
-        .collect()
 }
 
 fn add_counts(into: &mut KindCounts, counts: &KindCounts) {
@@ -1027,7 +973,6 @@ mod tests {
         assert_eq!(warm.cones_recomputed, 1, "only the rewired cone re-ran");
         assert_eq!(warm.cones_reused, 2);
         assert!(!warm.spliced_reused);
-        assert_eq!(warm.dirty_bands.as_deref(), Some(&[0][..]));
 
         // The incremental result is bit-identical to a cold engine
         // running the same edited graph from scratch.

@@ -11,8 +11,9 @@
 //! ## The pass pipeline
 //!
 //! The flow is organized as a **pass pipeline**: each stage is a
-//! [`Pass`] over a shared [`FlowContext`], assembled and
-//! ordering-validated by [`FlowPipeline::builder`]:
+//! [`Pass`] over a shared [`FlowContext`]. A pipeline is named as data
+//! by a [`PipelineSpec`] — one [`PassSpec`] per built-in pass — and
+//! compiled and validated by [`PipelineSpec::build`]:
 //!
 //! 1. **map** ([`netlist_from_mig`] / [`netlist_from_mig_min_inv`]) —
 //!    maps the MIG onto physical components, materializing inverters
@@ -43,25 +44,26 @@
 //! [`FlowSpec::with_equivalence_gating`]) so every sweep self-verifies
 //! with counterexamples that name the offending pass.
 //!
-//! The builder rejects ill-ordered pipelines (mapping must come first,
+//! Compilation rejects ill-ordered pipelines (mapping must come first,
 //! fan-out restriction before buffer insertion, verification last) and
 //! out-of-range pass parameters with a [`PipelineError`], and every run
 //! records a per-pass [`PassStats`] trace: wall time, component-count
-//! delta, depth change. The same pipeline as data is a [`PipelineSpec`];
-//! `PipelineSpec::default()` is the paper's flow above.
+//! delta, depth change. `PipelineSpec::default()` is the paper's flow
+//! above. [`FlowPipeline::builder`] takes the same [`PassSpec`]s
+//! ([`FlowPipelineBuilder::then`]) plus custom [`Pass`]es and the lint
+//! gate.
 //!
 //! ## The cost-model layer
 //!
 //! Technology pricing is a pipeline layer, not a post-processing step:
 //! a [`CostModel`] (see [`cost`]) prices every [`ComponentKind`], and a
-//! pipeline carrying one (via
-//! [`FlowPipelineBuilder::with_cost_model`], or per cell through the
-//! grid driver) records priced area / energy / cycle-time deltas in
-//! every [`PassStats`] and unlocks cost-aware pass variants:
-//! [`FlowPipelineBuilder::restrict_fanout_cost_aware`] picks the FOG
-//! limit by the model's prices, and [`BufferStrategy::CostAware`]
-//! balances with the phase-occupancy slack the model implies. Without a
-//! model everything runs cost-blind and bit-identical to the paper's
+//! run priced against one ([`FlowPipeline::run_with_model`], or per
+//! cell through the grid driver) records priced area / energy /
+//! cycle-time deltas in every [`PassStats`] and unlocks cost-aware pass
+//! variants: [`PassSpec::RestrictFanoutCostAware`] picks the FOG limit
+//! by the model's prices, and [`BufferStrategy::CostAware`] balances
+//! with the phase-occupancy slack the model implies. Without a model
+//! everything runs cost-blind and bit-identical to the paper's
 //! reference flow.
 //!
 //! [`Engine::run_pipeline_grid`] is the one grid driver: it evaluates
@@ -73,7 +75,7 @@
 //!
 //! ```
 //! use mig::Mig;
-//! use wavepipe::{BufferStrategy, FlowPipeline};
+//! use wavepipe::{BufferStrategy, PipelineSpec};
 //!
 //! # fn main() -> Result<(), wavepipe::PassError> {
 //! let mut g = Mig::new();
@@ -84,13 +86,13 @@
 //! g.add_output("sum", sum);
 //! g.add_output("cout", cout);
 //!
-//! let pipeline = FlowPipeline::builder()
-//!     .map(false)
+//! // The paper's flow, spelled out (equal to `PipelineSpec::default()`):
+//! let spec = PipelineSpec::map(false)
 //!     .restrict_fanout(3)
 //!     .insert_buffers(BufferStrategy::Asap)
-//!     .verify(Some(3))
-//!     .build()
-//!     .expect("well-ordered pipeline");
+//!     .verify(Some(3));
+//! assert_eq!(spec, PipelineSpec::default());
+//! let pipeline = spec.build().expect("well-ordered pipeline");
 //! let run = pipeline.run(&g)?;
 //! assert!(run.result.report.is_some());
 //! assert_eq!(run.trace.len(), 4); // one instrumented record per pass
@@ -132,26 +134,20 @@ mod weighted;
 pub use mig::{EquivalencePolicy, PatternBlock, SweepConfig, WordFunction, DEFAULT_BLOCK_WORDS};
 
 pub use arena::EvalArena;
-pub use balance::{
-    check_balance, verify_balance, BalanceError, BalanceReport, FanoutBoundPass, VerifyBalancePass,
-};
-pub use buffer_insertion::{balance, insert_buffers, BufferInsertion, InsertBuffersPass};
+pub use balance::{check_balance, verify_balance, BalanceError, BalanceReport};
+pub use buffer_insertion::{balance, insert_buffers, BufferInsertion};
 pub use component::{CompId, Component, ComponentKind};
 pub use cost::{CostModel, CostTable, PricedCost, PricedDelta};
 pub use engine::{CircuitResolver, Engine, EngineCell, EngineRun, EngineStats, DEFAULT_CACHE_DIR};
 pub use error::FlowError;
-pub use fanout_restriction::{
-    restrict_fanout, restrict_fanout_prepared, CostAwareFanoutPass, FanoutRestriction,
-    FanoutRestrictionPass,
-};
-pub use from_mig::{netlist_from_mig, netlist_from_mig_min_inv, MapPass};
+pub use fanout_restriction::{restrict_fanout, restrict_fanout_prepared, FanoutRestriction};
+pub use from_mig::{netlist_from_mig, netlist_from_mig_min_inv};
 pub use incremental::{EngineEdit, IncrementalError, IncrementalOutcome, IncrementalSession};
 pub use lint::{
     lint_mig, lint_netlist, lint_spec, Diagnostic, LintContext, LintDriver, LintFailure,
     LintReport, LintRule,
 };
 pub use netlist::{FanoutEdges, KindCounts, Netlist, NetlistError, Port, StructuralCaches};
-pub use optimize::{OptimizeCostAwarePass, OptimizeDepthPass, OptimizeSizePass};
 pub use pipeline::{
     BufferStrategy, FlowContext, FlowPipeline, FlowPipelineBuilder, FlowResult, Pass, PassError,
     PassKind, PassStats, PipelineError, PipelineRun,

@@ -15,6 +15,9 @@
 //! Three integration points:
 //!
 //! * [`FlowPipelineBuilder::gate_lints`](crate::FlowPipelineBuilder::gate_lints)
+//!   (the builder takes the same [`PassSpec`](crate::PassSpec)s as a
+//!   [`PipelineSpec`](crate::PipelineSpec), via
+//!   [`then`](crate::FlowPipelineBuilder::then))
 //!   re-lints the working netlist after every pass and fails the run
 //!   with [`PassError::Lint`](crate::PassError::Lint) on error-severity
 //!   findings (rules are chosen by pipeline progress: structural rules

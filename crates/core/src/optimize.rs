@@ -54,9 +54,9 @@ pub(crate) fn mig_projected_counts(graph: &Mig) -> KindCounts {
 /// improving or `max_rounds` is reached. The result is functionally
 /// equivalent and never deeper.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct OptimizeDepthPass {
+pub(crate) struct OptimizeDepthPass {
     /// Bound on full-graph rewrite rounds.
-    pub max_rounds: usize,
+    pub(crate) max_rounds: usize,
 }
 
 impl Pass for OptimizeDepthPass {
@@ -80,9 +80,9 @@ impl Pass for OptimizeDepthPass {
 /// die with the rewrite. The result is functionally equivalent and
 /// never larger.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct OptimizeSizePass {
+pub(crate) struct OptimizeSizePass {
     /// Bound on full-graph collapse rounds.
-    pub max_rounds: usize,
+    pub(crate) max_rounds: usize,
 }
 
 impl Pass for OptimizeSizePass {
@@ -107,9 +107,9 @@ impl Pass for OptimizeSizePass {
 /// monetizes depth directly as cycle time). Requires a cost model on
 /// the run; fails with [`PassError::Custom`] otherwise.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct OptimizeCostAwarePass {
+pub(crate) struct OptimizeCostAwarePass {
     /// Bound on rewrite rounds for each objective.
-    pub max_rounds: usize,
+    pub(crate) max_rounds: usize,
 }
 
 impl Pass for OptimizeCostAwarePass {
@@ -125,7 +125,7 @@ impl Pass for OptimizeCostAwarePass {
         let Some(table) = ctx.cost_model().cloned() else {
             return Err(PassError::Custom(
                 "optimize_cost_aware requires a cost model on the run \
-                 (FlowPipelineBuilder::with_cost_model or a grid sweep)"
+                 (FlowPipeline::run_with_model or a grid sweep)"
                     .to_owned(),
             ));
         };
@@ -149,7 +149,7 @@ impl Pass for OptimizeCostAwarePass {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BufferStrategy, FlowPipeline, PipelineError};
+    use crate::{BufferStrategy, CostTable, FlowPipeline, PassSpec, PipelineError, PipelineSpec};
 
     /// Unit-cost model: area/delay/energy 1 for every priced kind.
     struct FlatModel;
@@ -219,9 +219,8 @@ mod tests {
     #[test]
     fn depth_pass_maps_the_optimized_graph() {
         let g = skewed_chain(16);
-        let pipeline = FlowPipeline::builder()
+        let pipeline = PipelineSpec::map(false)
             .optimize_depth(16)
-            .map(false)
             .restrict_fanout(3)
             .insert_buffers(BufferStrategy::Asap)
             .verify(Some(3))
@@ -242,9 +241,8 @@ mod tests {
     #[test]
     fn size_pass_shrinks_the_mapped_netlist() {
         let g = shared_context();
-        let pipeline = FlowPipeline::builder()
+        let pipeline = PipelineSpec::map(false)
             .optimize_size(4)
-            .map(false)
             .restrict_fanout(3)
             .insert_buffers(BufferStrategy::Asap)
             .verify(Some(3))
@@ -261,16 +259,15 @@ mod tests {
     #[test]
     fn rewrite_trace_is_priced_under_a_cost_model() {
         let g = skewed_chain(16);
-        let pipeline = FlowPipeline::builder()
-            .with_cost_model(&FlatModel)
+        let pipeline = PipelineSpec::map(false)
             .optimize_depth(16)
-            .map(false)
             .restrict_fanout(3)
             .insert_buffers(BufferStrategy::Asap)
             .verify(Some(3))
             .build()
             .unwrap();
-        let run = pipeline.run(&g).unwrap();
+        let flat = CostTable::from_model(&FlatModel);
+        let run = pipeline.run_with_model(&g, Some(&flat)).unwrap();
         let priced = run.trace[0].priced.as_ref().expect("priced rewrite entry");
         assert!(
             priced.after.latency < priced.before.latency,
@@ -281,9 +278,8 @@ mod tests {
     #[test]
     fn cost_aware_pass_requires_a_model() {
         let g = skewed_chain(8);
-        let pipeline = FlowPipeline::builder()
+        let pipeline = PipelineSpec::map(false)
             .optimize_cost_aware(8)
-            .map(false)
             .build()
             .unwrap();
         let err = pipeline.run(&g).unwrap_err();
@@ -296,13 +292,12 @@ mod tests {
     #[test]
     fn cost_aware_pass_picks_an_objective() {
         let g = skewed_chain(16);
-        let pipeline = FlowPipeline::builder()
-            .with_cost_model(&FlatModel)
+        let pipeline = PipelineSpec::map(false)
             .optimize_cost_aware(16)
-            .map(false)
             .build()
             .unwrap();
-        let run = pipeline.run(&g).unwrap();
+        let flat = CostTable::from_model(&FlatModel);
+        let run = pipeline.run_with_model(&g, Some(&flat)).unwrap();
         let stats = &run.trace[0];
         assert_eq!(stats.pass, "optimize_cost_aware");
         // On a skewed chain the depth objective wins: the size objective
@@ -316,7 +311,7 @@ mod tests {
     fn rewrites_after_map_are_rejected() {
         let err = FlowPipeline::builder()
             .map(false)
-            .optimize_depth(4)
+            .then(PassSpec::OptimizeDepth { max_rounds: 4 })
             .build()
             .unwrap_err();
         assert_eq!(err, PipelineError::RewriteAfterMap);
@@ -325,8 +320,8 @@ mod tests {
     #[test]
     fn rewrite_only_pipelines_are_rejected() {
         let err = FlowPipeline::builder()
-            .optimize_depth(4)
-            .optimize_size(4)
+            .then(PassSpec::OptimizeDepth { max_rounds: 4 })
+            .then(PassSpec::OptimizeSize { max_rounds: 4 })
             .build()
             .unwrap_err();
         assert_eq!(err, PipelineError::MapNotFirst);
@@ -336,12 +331,14 @@ mod tests {
     fn rewrites_pass_the_equivalence_gate() {
         let g = skewed_chain(12);
         let pipeline = FlowPipeline::builder()
-            .optimize_depth(8)
-            .optimize_size(8)
+            .then(PassSpec::OptimizeDepth { max_rounds: 8 })
+            .then(PassSpec::OptimizeSize { max_rounds: 8 })
             .map(false)
-            .restrict_fanout(3)
-            .insert_buffers(BufferStrategy::Asap)
-            .verify(Some(3))
+            .then(PassSpec::RestrictFanout { limit: 3 })
+            .then(PassSpec::InsertBuffers(BufferStrategy::Asap))
+            .then(PassSpec::Verify {
+                fanout_limit: Some(3),
+            })
             .gate_equivalence(mig::EquivalencePolicy::default())
             .gate_lints()
             .build()

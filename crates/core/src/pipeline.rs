@@ -3,13 +3,13 @@
 //! The paper's flow (map MIG → restrict fan-out → insert buffers →
 //! verify balance) used to be a hardcoded 4-call sequence; this module
 //! turns each stage into a [`Pass`] over a shared [`FlowContext`], so a
-//! flow configuration is *data*: an ordered list of passes assembled by
-//! [`FlowPipelineBuilder`]. New scenarios (retimed or weighted
-//! insertion, FOG-k sweeps, verification-only runs) become one-line
-//! pipeline edits instead of hand-rolled drivers. Insertion strategies
-//! differ only in the (delay weights, arrival schedule) pair
-//! `FlowContext::schedule` resolves for the one balancing kernel,
-//! [`crate::balance`].
+//! flow configuration is *data*: an ordered list of [`PassSpec`]s,
+//! compiled into passes by [`FlowPipelineBuilder`]. New scenarios
+//! (retimed or weighted insertion, FOG-k sweeps, verification-only
+//! runs) become one-line pipeline edits instead of hand-rolled drivers.
+//! Insertion strategies differ only in the (delay weights, arrival
+//! schedule) pair `FlowContext::schedule` resolves for the one
+//! balancing kernel, [`crate::balance`].
 //!
 //! Every pass execution is instrumented: the pipeline records wall
 //! time, component-count delta and depth change per pass in a
@@ -17,16 +17,17 @@
 //!
 //! The builder enforces the paper's structural constraints
 //! (§IV: fan-out restriction must precede buffer insertion; mapping
-//! must come first; verification last) at [`FlowPipelineBuilder::build`]
-//! time, returning a [`PipelineError`] instead of producing a pipeline
-//! that would compute garbage.
+//! must come first; verification last) and each pass's parameter range
+//! at [`FlowPipelineBuilder::build`] time, returning a [`PipelineError`]
+//! instead of producing a pipeline that would compute garbage or
+//! panic.
 //!
 //! A pipeline runs one graph at a time ([`FlowPipeline::run`]); sweeps
 //! over many graphs and technologies go through the one grid driver,
 //! [`crate::Engine::run_pipeline_grid`], which schedules every cell on
 //! the work-pulling parallel scheduler and caches results. A pipeline
 //! is named as data by a [`crate::PipelineSpec`] (its `Default` is the
-//! paper's flow); the builder is for custom passes.
+//! paper's flow); the builder is for custom passes and the lint gate.
 
 use std::fmt;
 use std::time::Instant;
@@ -38,12 +39,18 @@ use std::sync::Arc;
 use crate::balance::{BalanceError, BalanceReport};
 use crate::buffer_insertion::BufferInsertion;
 use crate::component::CompId;
-use crate::cost::{CostModel, CostTable, PricedDelta};
+use crate::cost::{CostTable, PricedDelta};
 use crate::fanout_restriction::FanoutRestriction;
 use crate::netlist::{FanoutEdges, KindCounts, Netlist, StructuralCaches};
+use crate::spec::PassSpec;
 use crate::weighted::{DelayWeights, WeightedInsertion};
 
 /// Why a pass (and therefore a pipeline run) failed.
+///
+/// The opt-in gates fail with typed errors that name the pass after
+/// which they tripped: [`PassError::Equivalence`] (with a replayable
+/// counterexample), [`PassError::EquivalenceCheck`] and
+/// [`PassError::Lint`]. Only [`PassError::Custom`] is free-form.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PassError {
     /// Path balancing or its verification failed.
@@ -54,14 +61,26 @@ pub enum PassError {
     /// The opt-in per-pass equivalence gate
     /// ([`FlowPipelineBuilder::gate_equivalence`]) caught a pass
     /// breaking functional equivalence with the source MIG; the
-    /// counterexample names the offending pass.
+    /// counterexample names the offending pass. A rewrite pass's
+    /// counterexample compares the rewritten MIG with the source MIG.
     Equivalence(Box<crate::verify::differential::Counterexample>),
+    /// The equivalence gate could not compare the state after `pass`
+    /// with the source MIG at all (mismatched interfaces, or a netlist
+    /// with a combinational cycle).
+    EquivalenceCheck {
+        /// The pass after which the check was attempted.
+        pass: String,
+        /// Why the checker could not compare.
+        error: crate::verify::differential::DifferentialError,
+    },
     /// The opt-in per-pass lint gate
     /// ([`FlowPipelineBuilder::gate_lints`]) found error-severity
     /// diagnostics; the failure names the offending pass and carries
     /// the full diagnostic set.
     Lint(Box<crate::lint::LintFailure>),
-    /// A custom pass failed with a free-form message.
+    /// A free-form failure: a custom pass's own error, a cost-aware
+    /// pass run without a cost model, or a mapping pass that never
+    /// installed a netlist.
     Custom(String),
 }
 
@@ -71,6 +90,9 @@ impl fmt::Display for PassError {
             PassError::Balance(e) => write!(f, "{e}"),
             PassError::Netlist(e) => write!(f, "{e}"),
             PassError::Equivalence(cex) => write!(f, "equivalence gate: {cex}"),
+            PassError::EquivalenceCheck { pass, error } => {
+                write!(f, "equivalence gate after `{pass}`: {error}")
+            }
             PassError::Lint(failure) => write!(f, "{failure}"),
             PassError::Custom(message) => write!(f, "{message}"),
         }
@@ -82,6 +104,7 @@ impl std::error::Error for PassError {
         match self {
             PassError::Balance(e) => Some(e),
             PassError::Netlist(e) => Some(e),
+            PassError::EquivalenceCheck { error, .. } => Some(error),
             PassError::Equivalence(_) | PassError::Lint(_) | PassError::Custom(_) => None,
         }
     }
@@ -192,9 +215,8 @@ impl<'g> FlowContext<'g> {
     }
 
     /// The technology cost model this run prices against, if one was
-    /// configured ([`FlowPipelineBuilder::with_cost_model`] or the grid
-    /// driver). Cost-aware passes consult it; cost-blind passes ignore
-    /// it.
+    /// given ([`FlowPipeline::run_with_model`] or the grid driver).
+    /// Cost-aware passes consult it; cost-blind passes ignore it.
     pub fn cost_model(&self) -> Option<&CostTable> {
         self.cost.as_ref()
     }
@@ -246,7 +268,7 @@ impl<'g> FlowContext<'g> {
                 DelayWeights::for_cost_model(self.cost.as_ref().ok_or_else(|| {
                     PassError::Custom(
                         "cost-aware balancing needs a cost model \
-                         (FlowPipelineBuilder::with_cost_model or Engine::run_pipeline_grid)"
+                         (FlowPipeline::run_with_model or Engine::run_pipeline_grid)"
                             .to_owned(),
                     )
                 })?)
@@ -510,11 +532,9 @@ impl fmt::Display for PipelineError {
 
 impl std::error::Error for PipelineError {}
 
-/// An ordered, validated sequence of passes, optionally carrying a
-/// default technology cost model.
+/// An ordered, validated sequence of passes.
 pub struct FlowPipeline {
     passes: Vec<Box<dyn Pass>>,
-    cost: Option<CostTable>,
     equivalence: Option<mig::EquivalencePolicy>,
     lints: bool,
 }
@@ -526,7 +546,6 @@ impl fmt::Debug for FlowPipeline {
                 "passes",
                 &self.passes.iter().map(|p| p.name()).collect::<Vec<_>>(),
             )
-            .field("cost", &self.cost.as_ref().map(|t| t.name().to_owned()))
             .field("equivalence", &self.equivalence)
             .field("lints", &self.lints)
             .finish()
@@ -544,7 +563,7 @@ impl FlowPipeline {
         self.passes.iter().map(|p| p.name()).collect()
     }
 
-    /// Runs the pipeline on one graph, collecting per-pass
+    /// Runs the pipeline cost-blind on one graph, collecting per-pass
     /// instrumentation.
     ///
     /// # Errors
@@ -554,13 +573,14 @@ impl FlowPipeline {
     /// with `kind() == PassKind::Map` must call
     /// [`FlowContext::set_mapped`]).
     pub fn run(&self, graph: &Mig) -> Result<PipelineRun, PassError> {
-        self.run_with_model(graph, self.cost.as_ref())
+        self.run_with_model(graph, None)
     }
 
-    /// [`FlowPipeline::run`] with an explicit cost model, overriding
-    /// the pipeline's default — the per-cell entry point of
-    /// [`crate::Engine::run_pipeline_grid`]. `None` runs cost-blind (no
-    /// priced trace entries).
+    /// [`FlowPipeline::run`] priced against `model` — the per-cell entry
+    /// point of [`crate::Engine::run_pipeline_grid`] and of
+    /// [`crate::IncrementalSession`]. Every trace entry records priced
+    /// deltas, and cost-aware passes consult the model. `None` runs
+    /// cost-blind (no priced trace entries).
     ///
     /// # Errors
     ///
@@ -655,22 +675,19 @@ impl FlowPipeline {
                     }
                 }
                 if let Some(policy) = &self.equivalence {
-                    match mig::check_equivalence_with_policy(ctx.working_graph(), ctx.graph, policy)
-                    {
-                        Ok(verdict) if verdict.holds() => {}
-                        Ok(mig::Equivalence::NotEqual { output, pattern }) => {
-                            return Err(PassError::Custom(format!(
-                                "equivalence gate after `{}`: rewritten MIG diverges from the \
-                                 source graph on output `{output}` under pattern {pattern:?}",
-                                pass.name()
-                            )));
+                    let rewritten = ctx.working_graph();
+                    match mig::check_equivalence_with_policy(rewritten, ctx.graph, policy) {
+                        Ok(mig::Equivalence::NotEqual { pattern, .. }) => {
+                            let cex =
+                                mig_counterexample(ctx.graph, rewritten, pattern, pass.name());
+                            return Err(PassError::Equivalence(Box::new(cex)));
                         }
-                        Ok(_) => unreachable!("holds() covers Equal and ProbablyEqual"),
-                        Err(e) => {
-                            return Err(PassError::Custom(format!(
-                                "equivalence gate after `{}`: {e}",
-                                pass.name()
-                            )))
+                        Ok(_) => {}
+                        Err(error) => {
+                            return Err(PassError::EquivalenceCheck {
+                                pass: pass.name(),
+                                error: crate::differential::DifferentialError::Interface(error),
+                            })
                         }
                     }
                 }
@@ -740,11 +757,11 @@ impl FlowPipeline {
                             cex.pass = Some(pass.name());
                             return Err(PassError::Equivalence(Box::new(cex)));
                         }
-                        Err(e) => {
-                            return Err(PassError::Custom(format!(
-                                "equivalence gate after `{}`: {e}",
-                                pass.name()
-                            )))
+                        Err(error) => {
+                            return Err(PassError::EquivalenceCheck {
+                                pass: pass.name(),
+                                error,
+                            })
                         }
                     }
                 }
@@ -773,7 +790,30 @@ impl FlowPipeline {
     }
 }
 
-/// Buffer-insertion strategy selector for [`FlowPipelineBuilder`].
+/// The rewrite gate's counterexample: both MIGs evaluated on `pattern`,
+/// reported at the first output where they disagree.
+fn mig_counterexample(
+    source: &Mig,
+    rewritten: &Mig,
+    pattern: Vec<bool>,
+    pass: String,
+) -> crate::differential::Counterexample {
+    let expected = mig::Simulator::new(source).eval(&pattern);
+    let actual = mig::Simulator::new(rewritten).eval(&pattern);
+    let output = (0..expected.len())
+        .find(|&i| expected[i] != actual[i])
+        .unwrap_or(0);
+    crate::differential::Counterexample {
+        pattern,
+        output,
+        output_name: source.outputs()[output].name.clone(),
+        expected: expected[output],
+        actual: actual[output],
+        pass: Some(pass),
+    }
+}
+
+/// Buffer-insertion strategy selector of [`PassSpec::InsertBuffers`].
 ///
 /// Serialized as `"asap"`, `"retimed"`, `"cost_aware"` or
 /// `{"weighted": {…}}`.
@@ -808,17 +848,27 @@ impl BufferStrategy {
 /// Incremental pipeline assembly with ordering validation at
 /// [`FlowPipelineBuilder::build`].
 ///
+/// A built-in pass is named only by its [`PassSpec`]: [`then`] compiles
+/// it (range checks included) and [`pass`] is for custom [`Pass`]
+/// implementations. Most callers never touch the builder and name a
+/// whole pipeline with a [`crate::PipelineSpec`] instead; the builder is
+/// for custom passes and for the lint gate.
+///
+/// [`then`]: FlowPipelineBuilder::then
+/// [`pass`]: FlowPipelineBuilder::pass
+///
 /// # Examples
 ///
 /// ```
-/// use wavepipe::{BufferStrategy, FlowPipeline};
+/// use wavepipe::{BufferStrategy, FlowPipeline, PassSpec, PipelineError};
 ///
 /// // The paper's §V configuration, as an explicit pipeline:
 /// let pipeline = FlowPipeline::builder()
 ///     .map(false)
-///     .restrict_fanout(3)
-///     .insert_buffers(BufferStrategy::Asap)
-///     .verify(Some(3))
+///     .then(PassSpec::RestrictFanout { limit: 3 })
+///     .then(PassSpec::InsertBuffers(BufferStrategy::Asap))
+///     .then(PassSpec::Verify { fanout_limit: Some(3) })
+///     .gate_lints()
 ///     .build()
 ///     .unwrap();
 /// assert_eq!(pipeline.pass_names().len(), 4);
@@ -826,19 +876,33 @@ impl BufferStrategy {
 /// // Ill-ordered pipelines fail to build:
 /// let err = FlowPipeline::builder()
 ///     .map(false)
-///     .insert_buffers(BufferStrategy::Asap)
-///     .restrict_fanout(3)
+///     .then(PassSpec::InsertBuffers(BufferStrategy::Asap))
+///     .then(PassSpec::RestrictFanout { limit: 3 })
 ///     .build()
 ///     .unwrap_err();
-/// assert_eq!(err, wavepipe::PipelineError::FanoutAfterBuffers);
+/// assert_eq!(err, PipelineError::FanoutAfterBuffers);
+///
+/// // … and so do out-of-range parameters:
+/// let err = FlowPipeline::builder()
+///     .map(false)
+///     .then(PassSpec::RestrictFanout { limit: 1 })
+///     .build()
+///     .unwrap_err();
+/// assert_eq!(err, PipelineError::FanoutLimitOutOfRange(1));
+/// ```
+///
+/// The built-in pass types are not public, so a pass with an
+/// unchecked parameter cannot be built by hand:
+///
+/// ```compile_fail
+/// let _ = wavepipe::FanoutRestrictionPass { limit: 1 };
 /// ```
 #[derive(Default)]
 pub struct FlowPipelineBuilder {
     passes: Vec<Box<dyn Pass>>,
-    cost: Option<CostTable>,
     equivalence: Option<mig::EquivalencePolicy>,
     lints: bool,
-    /// The first out-of-range pass parameter, reported by `build`.
+    /// The first rejected parameter, reported by `build`.
     invalid: Option<PipelineError>,
 }
 
@@ -849,7 +913,6 @@ impl fmt::Debug for FlowPipelineBuilder {
                 "passes",
                 &self.passes.iter().map(|p| p.name()).collect::<Vec<_>>(),
             )
-            .field("cost", &self.cost.as_ref().map(|t| t.name().to_owned()))
             .field("equivalence", &self.equivalence)
             .field("lints", &self.lints)
             .field("invalid", &self.invalid)
@@ -866,7 +929,20 @@ impl FlowPipelineBuilder {
     /// [`PassError::Equivalence`], whose counterexample records the
     /// offending pass — so any sweep can self-verify instead of
     /// trusting the transforms' structural proofs.
+    ///
+    /// A policy with zero sampling rounds, or an exhaustive ceiling
+    /// above [`crate::spec::MAX_EXHAUSTIVE_GATE_INPUTS`], fails
+    /// [`FlowPipelineBuilder::build`].
     pub fn gate_equivalence(mut self, policy: mig::EquivalencePolicy) -> FlowPipelineBuilder {
+        // Zero rounds would let any circuit above the exhaustive ceiling
+        // pass after comparing zero patterns; a huge ceiling makes every
+        // pass boundary intractable.
+        if policy.rounds == 0 {
+            self.invalid.get_or_insert(PipelineError::GateZeroRounds);
+        } else if policy.exhaustive_inputs > crate::spec::MAX_EXHAUSTIVE_GATE_INPUTS {
+            self.invalid
+                .get_or_insert(PipelineError::GateCeilingTooHigh(policy.exhaustive_inputs));
+        }
         self.equivalence = Some(policy);
         self
     }
@@ -885,38 +961,6 @@ impl FlowPipelineBuilder {
         self.lints = true;
         self
     }
-    /// Attaches a technology cost model to the pipeline: every run
-    /// prices its per-pass trace against it, and cost-aware passes
-    /// ([`FlowPipelineBuilder::restrict_fanout_cost_aware`],
-    /// [`BufferStrategy::CostAware`]) consult it. Overridable per run
-    /// via [`FlowPipeline::run_with_model`] / the grid driver.
-    pub fn with_cost_model(mut self, model: &dyn CostModel) -> FlowPipelineBuilder {
-        self.cost = Some(CostTable::from_model(model));
-        self
-    }
-
-    /// Adds a depth-oriented MIG rewrite pass (Ω.A associativity +
-    /// Ω.D distributivity, `mig::optimize_depth`). Must precede the
-    /// mapping pass; `max_rounds` bounds the rewrite iterations.
-    pub fn optimize_depth(self, max_rounds: usize) -> FlowPipelineBuilder {
-        self.pass(Box::new(crate::optimize::OptimizeDepthPass { max_rounds }))
-    }
-
-    /// Adds a size-oriented MIG rewrite pass (Ω.D distributivity
-    /// collapse, `mig::optimize_size`). Must precede the mapping pass.
-    pub fn optimize_size(self, max_rounds: usize) -> FlowPipelineBuilder {
-        self.pass(Box::new(crate::optimize::OptimizeSizePass { max_rounds }))
-    }
-
-    /// Adds a cost-aware MIG rewrite pass that runs both objectives and
-    /// keeps whichever minimizes the projected priced area × latency
-    /// under the run's cost model (requires one; see
-    /// [`OptimizeCostAwarePass`](crate::optimize::OptimizeCostAwarePass)).
-    pub fn optimize_cost_aware(self, max_rounds: usize) -> FlowPipelineBuilder {
-        self.pass(Box::new(crate::optimize::OptimizeCostAwarePass {
-            max_rounds,
-        }))
-    }
 
     /// Adds the MIG→netlist mapping pass; `minimize_inverters` selects
     /// the polarity-local-search mapping.
@@ -924,131 +968,95 @@ impl FlowPipelineBuilder {
         self.pass(Box::new(crate::from_mig::MapPass { minimize_inverters }))
     }
 
-    /// Adds a fan-out restriction pass with the §IV limit `k ∈ 2..=5`
-    /// (any other limit fails [`FlowPipelineBuilder::build`]).
-    pub fn restrict_fanout(self, limit: u32) -> FlowPipelineBuilder {
-        self.check_fanout_limit(limit).pass(Box::new(
-            crate::fanout_restriction::FanoutRestrictionPass { limit },
-        ))
-    }
-
-    /// Adds a cost-aware fan-out restriction pass that picks the limit
-    /// `k ∈ 2..=5` minimizing the projected priced area under the run's
-    /// cost model (see
-    /// [`CostAwareFanoutPass`](crate::fanout_restriction::CostAwareFanoutPass)).
-    pub fn restrict_fanout_cost_aware(self) -> FlowPipelineBuilder {
-        self.pass(Box::new(
-            crate::fanout_restriction::CostAwareFanoutPass::default(),
-        ))
-    }
-
-    /// Adds a buffer-insertion pass with the chosen strategy.
-    pub fn insert_buffers(self, strategy: BufferStrategy) -> FlowPipelineBuilder {
-        let builder = match strategy {
-            BufferStrategy::Weighted(weights) => self.check_delay_weights(weights),
-            _ => self,
-        };
-        builder.pass(Box::new(crate::buffer_insertion::InsertBuffersPass(
-            strategy,
-        )))
-    }
-
-    /// Adds unit-delay balance verification (plus the fan-out bound
-    /// when `fanout_limit` is given).
-    pub fn verify(self, fanout_limit: Option<u32>) -> FlowPipelineBuilder {
-        self.verify_strategy(BufferStrategy::Asap, fanout_limit)
-    }
-
-    /// Adds weighted-delay balance verification.
-    pub fn verify_weighted(self, weights: DelayWeights) -> FlowPipelineBuilder {
-        self.check_delay_weights(weights)
-            .verify_strategy(BufferStrategy::Weighted(weights), None)
-    }
-
-    /// Adds cost-aware balance verification: checks against the phase
-    /// weights the run's cost model implies (the verifier matching
-    /// [`BufferStrategy::CostAware`]). `fanout_limit` additionally
-    /// enforces the §IV bound.
-    pub fn verify_cost_aware(self, fanout_limit: Option<u32>) -> FlowPipelineBuilder {
-        self.verify_strategy(BufferStrategy::CostAware, fanout_limit)
-    }
-
-    fn verify_strategy(
-        self,
-        strategy: BufferStrategy,
-        fanout_limit: Option<u32>,
-    ) -> FlowPipelineBuilder {
-        self.pass(Box::new(crate::balance::VerifyBalancePass {
-            strategy,
-            fanout_limit,
-        }))
-    }
-
-    /// Adds a fan-out bound check without full balance verification
-    /// (the FOx-only configurations of Fig 8).
-    pub fn check_fanout_bound(self, limit: u32) -> FlowPipelineBuilder {
-        self.check_fanout_limit(limit)
-            .pass(Box::new(crate::balance::FanoutBoundPass { limit }))
-    }
-
-    /// Records an out-of-range `limit` for `build` to report.
-    fn check_fanout_limit(mut self, limit: u32) -> FlowPipelineBuilder {
-        if !crate::spec::fanout_limit_in_range(limit) {
-            self.invalid
-                .get_or_insert(PipelineError::FanoutLimitOutOfRange(limit));
+    /// Adds the built-in pass `spec` names. A parameter out of range (a
+    /// fan-out limit outside `2..=5`, delay weights with `buf == 0` or
+    /// above [`crate::spec::MAX_DELAY_WEIGHT`]) fails
+    /// [`FlowPipelineBuilder::build`].
+    pub fn then(mut self, spec: PassSpec) -> FlowPipelineBuilder {
+        match compile(spec) {
+            Ok(pass) => self.passes.push(pass),
+            Err(error) => {
+                self.invalid.get_or_insert(error);
+            }
         }
         self
     }
 
-    /// Records out-of-range `weights` for `build` to report.
-    fn check_delay_weights(mut self, weights: DelayWeights) -> FlowPipelineBuilder {
-        if !crate::spec::delay_weights_in_range(&weights) {
-            self.invalid
-                .get_or_insert(PipelineError::DelayWeightsOutOfRange(weights));
-        }
-        self
-    }
-
-    /// Registers an arbitrary custom pass.
+    /// Registers a custom pass.
     pub fn pass(mut self, pass: Box<dyn Pass>) -> FlowPipelineBuilder {
         self.passes.push(pass);
         self
     }
 
-    /// Validates ordering and produces the pipeline.
+    /// Validates parameters and ordering and produces the pipeline.
     ///
     /// # Errors
     ///
-    /// Returns a [`PipelineError`] when the pass sequence violates the
-    /// structural constraints (map first, fan-out restriction before
-    /// buffer insertion, no transforms after verification) or a pass
-    /// parameter is out of range (a fan-out limit outside `2..=5`,
-    /// delay weights with `buf == 0` or above
-    /// [`crate::spec::MAX_DELAY_WEIGHT`]).
+    /// Returns a [`PipelineError`] when a pass parameter or the
+    /// equivalence gate was rejected (the first rejection is reported),
+    /// or when the pass sequence violates the structural constraints
+    /// (map first, fan-out restriction before buffer insertion, no
+    /// transforms after verification).
     pub fn build(self) -> Result<FlowPipeline, PipelineError> {
-        let kinds: Vec<PassKind> = self.passes.iter().map(|p| p.kind()).collect();
-        validate_order(&kinds)?;
         if let Some(error) = self.invalid {
             return Err(error);
         }
-        // Guard the gate here too (not just at the spec layer): builder
-        // users would otherwise install a vacuous (zero-round) or
-        // per-boundary-intractable gate with no error.
-        if let Some(gate) = &self.equivalence {
-            if gate.rounds == 0 {
-                return Err(PipelineError::GateZeroRounds);
-            }
-            if gate.exhaustive_inputs > crate::spec::MAX_EXHAUSTIVE_GATE_INPUTS {
-                return Err(PipelineError::GateCeilingTooHigh(gate.exhaustive_inputs));
-            }
-        }
+        let kinds: Vec<PassKind> = self.passes.iter().map(|p| p.kind()).collect();
+        validate_order(&kinds)?;
         Ok(FlowPipeline {
             passes: self.passes,
-            cost: self.cost,
             equivalence: self.equivalence,
             lints: self.lints,
         })
     }
+}
+
+/// The compile step: the one place a [`PassSpec`] becomes its pass, and
+/// the one place its parameters are range-checked.
+fn compile(spec: PassSpec) -> Result<Box<dyn Pass>, PipelineError> {
+    use crate::balance::{FanoutBoundPass, VerifyBalancePass};
+    use crate::optimize::{OptimizeCostAwarePass, OptimizeDepthPass, OptimizeSizePass};
+    let limit = |limit: u32| {
+        crate::spec::fanout_limit_in_range(limit)
+            .then_some(limit)
+            .ok_or(PipelineError::FanoutLimitOutOfRange(limit))
+    };
+    let weights = |weights: DelayWeights| {
+        crate::spec::delay_weights_in_range(&weights)
+            .then_some(weights)
+            .ok_or(PipelineError::DelayWeightsOutOfRange(weights))
+    };
+    let verify = |strategy, fanout_limit| VerifyBalancePass {
+        strategy,
+        fanout_limit,
+    };
+    Ok(match spec {
+        PassSpec::OptimizeDepth { max_rounds } => Box::new(OptimizeDepthPass { max_rounds }),
+        PassSpec::OptimizeSize { max_rounds } => Box::new(OptimizeSizePass { max_rounds }),
+        PassSpec::OptimizeCostAware { max_rounds } => {
+            Box::new(OptimizeCostAwarePass { max_rounds })
+        }
+        PassSpec::RestrictFanout { limit: k } => {
+            Box::new(crate::fanout_restriction::FanoutRestrictionPass { limit: limit(k)? })
+        }
+        PassSpec::RestrictFanoutCostAware => {
+            Box::new(crate::fanout_restriction::CostAwareFanoutPass::default())
+        }
+        PassSpec::InsertBuffers(BufferStrategy::Weighted(w)) => Box::new(
+            crate::buffer_insertion::InsertBuffersPass(BufferStrategy::Weighted(weights(w)?)),
+        ),
+        PassSpec::InsertBuffers(strategy) => {
+            Box::new(crate::buffer_insertion::InsertBuffersPass(strategy))
+        }
+        PassSpec::Verify { fanout_limit } => Box::new(verify(BufferStrategy::Asap, fanout_limit)),
+        PassSpec::VerifyWeighted(w) => {
+            Box::new(verify(BufferStrategy::Weighted(weights(w)?), None))
+        }
+        PassSpec::VerifyCostAware { fanout_limit } => {
+            Box::new(verify(BufferStrategy::CostAware, fanout_limit))
+        }
+        PassSpec::CheckFanoutBound { limit: k } => Box::new(FanoutBoundPass { limit: limit(k)? }),
+    })
 }
 
 /// The ordering rules, factored out so tests can drive them directly.
@@ -1251,26 +1259,39 @@ mod tests {
     #[test]
     fn balancing_pass_names_are_stable() {
         // Pass names are persisted in cached traces.
-        let names = |strategy, verify: fn(FlowPipelineBuilder) -> FlowPipelineBuilder| {
-            let builder = FlowPipeline::builder().map(false).insert_buffers(strategy);
-            verify(builder).build().unwrap().pass_names()[1..].to_vec()
+        let names = |strategy, verify: PassSpec| {
+            let mut spec = PipelineSpec::map(false).insert_buffers(strategy);
+            spec.passes.push(verify);
+            spec.build().unwrap().pass_names()[1..].to_vec()
         };
         let qca = DelayWeights::QCA;
         assert_eq!(
-            names(BufferStrategy::Asap, |b| b.verify(None)),
+            names(
+                BufferStrategy::Asap,
+                PassSpec::Verify { fanout_limit: None }
+            ),
             ["insert_buffers(asap)", "verify"]
         );
         assert_eq!(
-            names(BufferStrategy::Retimed, |b| b.verify(Some(4))),
+            names(
+                BufferStrategy::Retimed,
+                PassSpec::Verify {
+                    fanout_limit: Some(4)
+                }
+            ),
             ["insert_buffers(retimed)", "verify(fo≤4)"]
         );
         assert_eq!(
-            names(BufferStrategy::Weighted(qca), |b| b
-                .verify_weighted(DelayWeights::QCA)),
+            names(BufferStrategy::Weighted(qca), PassSpec::VerifyWeighted(qca)),
             ["insert_buffers(weighted)", "verify(weighted)"]
         );
         assert_eq!(
-            names(BufferStrategy::CostAware, |b| b.verify_cost_aware(Some(3))),
+            names(
+                BufferStrategy::CostAware,
+                PassSpec::VerifyCostAware {
+                    fanout_limit: Some(3)
+                }
+            ),
             ["insert_buffers(cost-aware)", "verify(cost-aware)"]
         );
     }
@@ -1283,7 +1304,7 @@ mod tests {
         );
         assert_eq!(
             FlowPipeline::builder()
-                .restrict_fanout(3)
+                .then(PassSpec::RestrictFanout { limit: 3 })
                 .build()
                 .unwrap_err(),
             PipelineError::MapNotFirst
@@ -1299,8 +1320,8 @@ mod tests {
         assert_eq!(
             FlowPipeline::builder()
                 .map(false)
-                .insert_buffers(BufferStrategy::Asap)
-                .restrict_fanout(3)
+                .then(PassSpec::InsertBuffers(BufferStrategy::Asap))
+                .then(PassSpec::RestrictFanout { limit: 3 })
                 .build()
                 .unwrap_err(),
             PipelineError::FanoutAfterBuffers
@@ -1308,14 +1329,13 @@ mod tests {
         assert_eq!(
             FlowPipeline::builder()
                 .map(false)
-                .verify(None)
-                .insert_buffers(BufferStrategy::Asap)
+                .then(PassSpec::Verify { fanout_limit: None })
+                .then(PassSpec::InsertBuffers(BufferStrategy::Asap))
                 .build()
                 .unwrap_err(),
             PipelineError::TransformAfterVerify
         );
-        // Unusable equivalence gates are rejected at build time too
-        // (the spec layer rejects the same shapes with SpecErrors).
+        // Unusable equivalence gates are rejected at build time too.
         assert_eq!(
             FlowPipeline::builder()
                 .map(false)
@@ -1338,14 +1358,13 @@ mod tests {
     fn builder_rejects_out_of_range_parameters() {
         // Only `build()` is called: running such a pipeline would panic
         // (limit 1) or ask balancing for unbounded buffer chains.
-        let fanout = |limit| {
-            let restrict = FlowPipeline::builder().map(false).restrict_fanout(limit);
-            let bound = FlowPipeline::builder().map(false).check_fanout_bound(limit);
-            (restrict.build().unwrap_err(), bound.build().unwrap_err())
-        };
+        let rejects = |pass: PassSpec| FlowPipeline::builder().map(false).then(pass).build();
         for limit in [0, 1, 6, u32::MAX] {
             let err = PipelineError::FanoutLimitOutOfRange(limit);
-            assert_eq!(fanout(limit), (err.clone(), err));
+            let restrict = rejects(PassSpec::RestrictFanout { limit });
+            let bound = rejects(PassSpec::CheckFanoutBound { limit });
+            assert_eq!(restrict.unwrap_err(), err);
+            assert_eq!(bound.unwrap_err(), err);
         }
         let zero_buf = DelayWeights {
             buf: 0,
@@ -1361,14 +1380,8 @@ mod tests {
         };
         for w in [zero_buf, huge, over] {
             let err = PipelineError::DelayWeightsOutOfRange(w);
-            let insert = FlowPipeline::builder()
-                .map(false)
-                .insert_buffers(BufferStrategy::Weighted(w))
-                .build();
-            let verify = FlowPipeline::builder()
-                .map(false)
-                .verify_weighted(w)
-                .build();
+            let insert = rejects(PassSpec::InsertBuffers(BufferStrategy::Weighted(w)));
+            let verify = rejects(PassSpec::VerifyWeighted(w));
             assert_eq!(insert.unwrap_err(), err);
             assert_eq!(verify.unwrap_err(), err);
         }
@@ -1377,34 +1390,20 @@ mod tests {
             inv: crate::spec::MAX_DELAY_WEIGHT,
             ..DelayWeights::UNIT
         };
-        assert!(FlowPipeline::builder()
-            .map(false)
+        assert!(PipelineSpec::map(false)
             .restrict_fanout(2)
             .insert_buffers(BufferStrategy::Weighted(at_max))
             .verify_weighted(at_max)
             .build()
             .is_ok());
-        assert!(FlowPipeline::builder()
-            .map(false)
-            .check_fanout_bound(5)
-            .build()
-            .is_ok());
+        assert!(rejects(PassSpec::CheckFanoutBound { limit: 5 }).is_ok());
     }
 
     #[test]
     fn retimed_strategy_is_a_one_line_edit() {
         let g = sample_mig(3);
-        let asap = FlowPipeline::builder()
-            .map(false)
-            .restrict_fanout(3)
-            .insert_buffers(BufferStrategy::Asap)
-            .verify(Some(3))
-            .build()
-            .unwrap()
-            .run(&g)
-            .unwrap();
-        let retimed = FlowPipeline::builder()
-            .map(false)
+        let asap = paper_flow().run(&g).unwrap();
+        let retimed = PipelineSpec::map(false)
             .restrict_fanout(3)
             .insert_buffers(BufferStrategy::Retimed)
             .verify(Some(3))
@@ -1422,8 +1421,7 @@ mod tests {
     #[test]
     fn weighted_strategy_populates_weighted_stats() {
         let g = sample_mig(4);
-        let run = FlowPipeline::builder()
-            .map(false)
+        let run = PipelineSpec::map(false)
             .restrict_fanout(3)
             .insert_buffers(BufferStrategy::Weighted(DelayWeights::QCA))
             .verify_weighted(DelayWeights::QCA)
@@ -1490,16 +1488,8 @@ mod tests {
     #[test]
     fn cost_model_prices_every_pass() {
         let g = sample_mig(7);
-        let run = FlowPipeline::builder()
-            .map(false)
-            .restrict_fanout(3)
-            .insert_buffers(BufferStrategy::Asap)
-            .verify(Some(3))
-            .with_cost_model(&FlatModel)
-            .build()
-            .unwrap()
-            .run(&g)
-            .unwrap();
+        let flat = CostTable::from_model(&FlatModel);
+        let run = paper_flow().run_with_model(&g, Some(&flat)).unwrap();
         for stats in &run.trace {
             let priced = stats.priced.as_ref().expect("cost model configured");
             assert_eq!(priced.model, "FLAT");
@@ -1553,8 +1543,7 @@ mod tests {
     #[test]
     fn cost_aware_passes_require_a_model() {
         let g = sample_mig(8);
-        let err = FlowPipeline::builder()
-            .map(false)
+        let err = PipelineSpec::map(false)
             .restrict_fanout_cost_aware()
             .insert_buffers(BufferStrategy::Asap)
             .verify(None)
@@ -1563,8 +1552,7 @@ mod tests {
             .run(&g)
             .unwrap_err();
         assert!(matches!(err, PassError::Custom(_)), "{err}");
-        let err = FlowPipeline::builder()
-            .map(false)
+        let err = PipelineSpec::map(false)
             .restrict_fanout(3)
             .insert_buffers(BufferStrategy::CostAware)
             .build()
@@ -1584,10 +1572,9 @@ mod tests {
             .pass(Box::new(crate::fanout_restriction::CostAwareFanoutPass {
                 candidates: vec![1, 3],
             }))
-            .with_cost_model(&FlatModel)
             .build()
             .unwrap()
-            .run(&g)
+            .run_with_model(&g, Some(&CostTable::from_model(&FlatModel)))
             .unwrap_err();
         assert!(
             matches!(&err, PassError::Custom(m) if m.contains("below the physical minimum")),
@@ -1600,15 +1587,13 @@ mod tests {
         // Unit phase occupancy → the cost-aware strategy IS Algorithm 1;
         // the cost-aware verifier records a plain balance report.
         let g = sample_mig(9);
-        let run = FlowPipeline::builder()
-            .map(false)
+        let run = PipelineSpec::map(false)
             .restrict_fanout_cost_aware()
             .insert_buffers(BufferStrategy::CostAware)
             .verify_cost_aware(None)
-            .with_cost_model(&FlatModel)
             .build()
             .unwrap()
-            .run(&g)
+            .run_with_model(&g, Some(&CostTable::from_model(&FlatModel)))
             .unwrap();
         let fanout = run.result.fanout.expect("restriction ran");
         assert!((2..=5).contains(&fanout.limit));
@@ -1675,11 +1660,7 @@ mod tests {
         let policy = mig::EquivalencePolicy::default();
 
         // The paper's flow self-verifies cleanly under the gate.
-        let run = FlowPipeline::builder()
-            .map(false)
-            .restrict_fanout(3)
-            .insert_buffers(BufferStrategy::Asap)
-            .verify(Some(3))
+        let run = PipelineSpec::default()
             .gate_equivalence(policy)
             .build()
             .unwrap()
@@ -1717,6 +1698,77 @@ mod tests {
     }
 
     #[test]
+    fn rewrite_gate_returns_a_typed_counterexample_naming_the_pass() {
+        // A rewrite pass that complements output 1 of the working MIG.
+        struct ComplementOutputPass;
+        impl Pass for ComplementOutputPass {
+            fn name(&self) -> String {
+                "complement_output".to_owned()
+            }
+            fn kind(&self) -> PassKind {
+                PassKind::Rewrite
+            }
+            fn run(&self, ctx: &mut FlowContext<'_>) -> Result<(), PassError> {
+                let mut g = ctx.working_graph().clone();
+                let flipped = !g.outputs()[1].signal;
+                g.set_output_signal(1, flipped);
+                ctx.set_rewritten(g);
+                Ok(())
+            }
+        }
+        // A rewrite pass the checker cannot compare: it drops an output.
+        struct DropOutputPass;
+        impl Pass for DropOutputPass {
+            fn name(&self) -> String {
+                "drop_output".to_owned()
+            }
+            fn kind(&self) -> PassKind {
+                PassKind::Rewrite
+            }
+            fn run(&self, ctx: &mut FlowContext<'_>) -> Result<(), PassError> {
+                let mut g = ctx.working_graph().clone();
+                g.remove_output(0);
+                ctx.set_rewritten(g);
+                Ok(())
+            }
+        }
+
+        let g = sample_mig(13);
+        let gated = |pass: Box<dyn Pass>| {
+            FlowPipeline::builder()
+                .pass(pass)
+                .map(false)
+                .gate_equivalence(mig::EquivalencePolicy::default())
+                .build()
+                .unwrap()
+                .run(&g)
+                .unwrap_err()
+        };
+        match gated(Box::new(ComplementOutputPass)) {
+            PassError::Equivalence(cex) => {
+                assert_eq!(cex.pass.as_deref(), Some("complement_output"));
+                assert_eq!(cex.output, 1);
+                assert_eq!(cex.output_name, g.outputs()[1].name);
+                assert_eq!(cex.pattern.len(), g.input_count());
+                let source = mig::Simulator::new(&g).eval(&cex.pattern);
+                assert_eq!(cex.expected, source[1]);
+                assert_eq!(cex.actual, !source[1]);
+            }
+            other => panic!("expected an equivalence failure, got {other}"),
+        }
+        match gated(Box::new(DropOutputPass)) {
+            PassError::EquivalenceCheck { pass, error } => {
+                assert_eq!(pass, "drop_output");
+                assert!(
+                    matches!(error, crate::differential::DifferentialError::Interface(_)),
+                    "{error}"
+                );
+            }
+            other => panic!("expected a checker failure, got {other}"),
+        }
+    }
+
+    #[test]
     fn custom_passes_slot_in() {
         struct SweepPass;
         impl Pass for SweepPass {
@@ -1733,9 +1785,11 @@ mod tests {
         let run = FlowPipeline::builder()
             .map(false)
             .pass(Box::new(SweepPass))
-            .restrict_fanout(3)
-            .insert_buffers(BufferStrategy::Asap)
-            .verify(Some(3))
+            .then(PassSpec::RestrictFanout { limit: 3 })
+            .then(PassSpec::InsertBuffers(BufferStrategy::Asap))
+            .then(PassSpec::Verify {
+                fanout_limit: Some(3),
+            })
             .build()
             .unwrap()
             .run(&g)

@@ -64,23 +64,9 @@ pub enum SpecError {
         /// What is wrong with it.
         reason: String,
     },
-    /// A fan-out restriction limit is outside the paper's §IV range.
-    FanoutLimitOutOfRange(u32),
-    /// A weighted pass's delay weights are unusable: a zero buffer
-    /// weight cannot fill any gap, and a weight above
-    /// [`MAX_DELAY_WEIGHT`] overflows arrival times or makes balancing
-    /// insert millions of buffers.
-    DelayWeightsOutOfRange(DelayWeights),
     /// The pipeline uses a cost-aware pass but the spec targets no
     /// technology, so there is no cost model to consult.
     CostAwareWithoutTechnology,
-    /// The equivalence gate's exhaustive ceiling is beyond what a block
-    /// sweep can realistically cover (cost doubles per input).
-    EquivalenceCeilingTooHigh(u32),
-    /// The equivalence gate has zero sampling rounds: any circuit above
-    /// the exhaustive ceiling would "pass" after comparing zero
-    /// patterns — a self-verifying sweep that verifies nothing.
-    EquivalenceGateZeroRounds,
     /// The JSON text could not be parsed into a spec.
     Json(String),
 }
@@ -105,26 +91,9 @@ impl fmt::Display for SpecError {
             SpecError::Synthetic { name, reason } => {
                 write!(f, "synthetic circuit `{name}` is malformed: {reason}")
             }
-            // One text per range rule, shared with the builder's error.
-            SpecError::FanoutLimitOutOfRange(limit) => {
-                PipelineError::FanoutLimitOutOfRange(*limit).fmt(f)
-            }
-            SpecError::DelayWeightsOutOfRange(w) => {
-                PipelineError::DelayWeightsOutOfRange(*w).fmt(f)
-            }
             SpecError::CostAwareWithoutTechnology => write!(
                 f,
                 "pipeline uses a cost-aware pass but the spec targets no technology"
-            ),
-            SpecError::EquivalenceCeilingTooHigh(inputs) => write!(
-                f,
-                "equivalence gate's exhaustive ceiling of {inputs} inputs is beyond the \
-                 practical limit of {MAX_EXHAUSTIVE_GATE_INPUTS} (cost doubles per input)"
-            ),
-            SpecError::EquivalenceGateZeroRounds => write!(
-                f,
-                "equivalence gate has zero sampling rounds: circuits above the exhaustive \
-                 ceiling would pass after comparing zero patterns"
             ),
             SpecError::Json(e) => write!(f, "spec JSON does not parse: {e}"),
         }
@@ -133,13 +102,14 @@ impl fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
-/// One declaratively-named pass of a [`PipelineSpec`] — the data form
-/// of the [`crate::FlowPipelineBuilder`] methods (the mapping pass is
-/// implicit: it slots in right after any leading MIG rewrite passes,
-/// which is also why the spec layer cannot express the builder's
-/// `MapNotFirst` / `DuplicateMap` mistakes — though a rewrite listed
-/// *after* a netlist pass still fails compilation with
-/// [`PipelineError::RewriteAfterMap`]).
+/// One built-in pass, named as data — the only way to name one: a
+/// [`PipelineSpec`] lists them and [`crate::FlowPipelineBuilder::then`]
+/// compiles one into its pass, checking its parameters. Inside a
+/// [`PipelineSpec`] the mapping pass is implicit: it slots in right
+/// after any leading MIG rewrite passes, which is also why the spec
+/// layer cannot express the builder's `MapNotFirst` / `DuplicateMap`
+/// mistakes — though a rewrite listed *after* a netlist pass still
+/// fails compilation with [`PipelineError::RewriteAfterMap`].
 ///
 /// Serialized as `{"pass": "restrict_fanout", "limit": 3}`: the snake
 /// case pass name, then the variant's fields.
@@ -244,8 +214,8 @@ pub struct PipelineSpec {
     pub equivalence_gate: Option<EquivalencePolicy>,
 }
 
-/// Largest per-kind delay weight, in clock phases, that
-/// [`PipelineSpec::validate`] accepts. Table I's largest weight is QCA's
+/// Largest per-kind delay weight, in clock phases, that a weighted
+/// pass accepts. Table I's largest weight is QCA's
 /// inverter at 7; the bound keeps weighted arrivals, and the buffers
 /// balancing inserts, within a small multiple of the unit-delay flow's.
 pub const MAX_DELAY_WEIGHT: u32 = 16;
@@ -264,8 +234,7 @@ pub(crate) fn delay_weights_in_range(w: &DelayWeights) -> bool {
             .all(|&x| x <= MAX_DELAY_WEIGHT)
 }
 
-/// Largest exhaustive ceiling [`FlowSpec::validate`] accepts for the
-/// equivalence gate — 2^24 patterns per pass boundary is already ~256k
+/// Largest exhaustive ceiling the equivalence gate accepts — 2^24 patterns per pass boundary is already ~256k
 /// block evaluations.
 pub const MAX_EXHAUSTIVE_GATE_INPUTS: u32 = 24;
 
@@ -368,55 +337,13 @@ impl PipelineSpec {
         self.passes.iter().any(PassSpec::is_cost_aware)
     }
 
-    /// Spec-level validation: restriction limits must be in the
-    /// feasible §IV range, and a weighted pass needs a buffer weight of
-    /// at least 1 and every weight at most [`MAX_DELAY_WEIGHT`] (the
-    /// builder cannot know either — it never sees what the numbers
-    /// mean).
+    /// Compiles the spec into a validated [`FlowPipeline`].
     ///
     /// # Errors
     ///
-    /// [`SpecError::FanoutLimitOutOfRange`],
-    /// [`SpecError::DelayWeightsOutOfRange`] or an equivalence-gate
-    /// error.
-    pub fn validate(&self) -> Result<(), SpecError> {
-        for pass in &self.passes {
-            match pass {
-                PassSpec::RestrictFanout { limit } | PassSpec::CheckFanoutBound { limit }
-                    if !fanout_limit_in_range(*limit) =>
-                {
-                    return Err(SpecError::FanoutLimitOutOfRange(*limit));
-                }
-                PassSpec::InsertBuffers(BufferStrategy::Weighted(w))
-                | PassSpec::VerifyWeighted(w)
-                    if !delay_weights_in_range(w) =>
-                {
-                    return Err(SpecError::DelayWeightsOutOfRange(*w));
-                }
-                _ => {}
-            }
-        }
-        if let Some(gate) = &self.equivalence_gate {
-            if gate.exhaustive_inputs > MAX_EXHAUSTIVE_GATE_INPUTS {
-                return Err(SpecError::EquivalenceCeilingTooHigh(gate.exhaustive_inputs));
-            }
-            // A gate must keep a sampling budget: the gate cannot know
-            // circuit sizes at validation time, and with zero rounds any
-            // circuit above the exhaustive ceiling would vacuously pass
-            // after comparing zero patterns.
-            if gate.rounds == 0 {
-                return Err(SpecError::EquivalenceGateZeroRounds);
-            }
-        }
-        Ok(())
-    }
-
-    /// Compiles the spec into an ordering-validated [`FlowPipeline`].
-    ///
-    /// # Errors
-    ///
-    /// The builder's [`PipelineError`] when the pass list is
-    /// ill-ordered (e.g. fan-out restriction after buffer insertion).
+    /// The builder's [`PipelineError`] when a pass parameter or the
+    /// equivalence gate is out of range, or the pass list is ill-ordered
+    /// (e.g. fan-out restriction after buffer insertion).
     pub fn build(&self) -> Result<FlowPipeline, PipelineError> {
         let mut builder = FlowPipeline::builder();
         if let Some(policy) = self.equivalence_gate {
@@ -431,22 +358,7 @@ impl PipelineSpec {
             if i == map_at {
                 builder = builder.map(self.minimize_inverters);
             }
-            builder = match pass {
-                PassSpec::OptimizeDepth { max_rounds } => builder.optimize_depth(*max_rounds),
-                PassSpec::OptimizeSize { max_rounds } => builder.optimize_size(*max_rounds),
-                PassSpec::OptimizeCostAware { max_rounds } => {
-                    builder.optimize_cost_aware(*max_rounds)
-                }
-                PassSpec::RestrictFanout { limit } => builder.restrict_fanout(*limit),
-                PassSpec::RestrictFanoutCostAware => builder.restrict_fanout_cost_aware(),
-                PassSpec::InsertBuffers(strategy) => builder.insert_buffers(*strategy),
-                PassSpec::Verify { fanout_limit } => builder.verify(*fanout_limit),
-                PassSpec::VerifyWeighted(weights) => builder.verify_weighted(*weights),
-                PassSpec::VerifyCostAware { fanout_limit } => {
-                    builder.verify_cost_aware(*fanout_limit)
-                }
-                PassSpec::CheckFanoutBound { limit } => builder.check_fanout_bound(*limit),
-            };
+            builder = builder.then(pass.clone());
         }
         if map_at == self.passes.len() {
             builder = builder.map(self.minimize_inverters);
@@ -699,14 +611,16 @@ impl FlowSpec {
         self
     }
 
-    /// Structural validation, before any circuit is resolved or any
-    /// pass runs. The engine calls this first on every run.
+    /// Structural validation of the circuit selection, before any
+    /// circuit is resolved or any pass runs. The engine calls this
+    /// first on every run, then compiles the pipeline
+    /// ([`PipelineSpec::build`]), which checks the pass parameters.
     ///
     /// # Errors
     ///
     /// [`SpecError::EmptyCircuits`], [`SpecError::DuplicateCircuit`],
-    /// [`SpecError::Synthetic`], [`SpecError::FanoutLimitOutOfRange`]
-    /// or [`SpecError::CostAwareWithoutTechnology`].
+    /// [`SpecError::Synthetic`] or
+    /// [`SpecError::CostAwareWithoutTechnology`].
     pub fn validate(&self) -> Result<(), SpecError> {
         if self.circuits.is_empty() {
             return Err(SpecError::EmptyCircuits);
@@ -721,7 +635,6 @@ impl FlowSpec {
                 return Err(SpecError::DuplicateCircuit(name));
             }
         }
-        self.pipeline.validate()?;
         if self.pipeline.uses_cost_aware_passes() && self.technologies.is_empty() {
             return Err(SpecError::CostAwareWithoutTechnology);
         }
@@ -1023,12 +936,13 @@ mod tests {
             FlowSpec::new("dup").circuit("A").circuit("A").validate(),
             Err(SpecError::DuplicateCircuit("A".to_owned()))
         );
+        // Pass parameters are the compile step's to check.
         assert_eq!(
-            FlowSpec::new("k")
-                .with_pipeline(PipelineSpec::map(false).restrict_fanout(1))
-                .circuit("A")
-                .validate(),
-            Err(SpecError::FanoutLimitOutOfRange(1))
+            PipelineSpec::map(false)
+                .restrict_fanout(1)
+                .build()
+                .unwrap_err(),
+            PipelineError::FanoutLimitOutOfRange(1)
         );
         assert_eq!(
             FlowSpec::new("blind")
@@ -1064,8 +978,8 @@ mod tests {
         for w in [huge, no_buf, just_over] {
             for pipeline in weighted(w) {
                 assert_eq!(
-                    pipeline.validate(),
-                    Err(SpecError::DelayWeightsOutOfRange(w))
+                    pipeline.build().unwrap_err(),
+                    PipelineError::DelayWeightsOutOfRange(w)
                 );
             }
         }
@@ -1075,7 +989,7 @@ mod tests {
         };
         for w in [DelayWeights::QCA, DelayWeights::NML, at_max] {
             for pipeline in weighted(w) {
-                assert_eq!(pipeline.validate(), Ok(()));
+                assert!(pipeline.build().is_ok());
             }
         }
     }
@@ -1112,8 +1026,8 @@ mod tests {
             .with_equivalence_gating(EquivalencePolicy::exhaustive(40))
             .circuit("A");
         assert_eq!(
-            absurd.validate(),
-            Err(SpecError::EquivalenceCeilingTooHigh(40))
+            absurd.pipeline.build().unwrap_err(),
+            PipelineError::GateCeilingTooHigh(40)
         );
 
         // So is a gate with no sampling budget — above the exhaustive
@@ -1122,8 +1036,8 @@ mod tests {
             .with_equivalence_gating(EquivalencePolicy::sampled(0, 1))
             .circuit("A");
         assert_eq!(
-            vacuous.validate(),
-            Err(SpecError::EquivalenceGateZeroRounds)
+            vacuous.pipeline.build().unwrap_err(),
+            PipelineError::GateZeroRounds
         );
     }
 
@@ -1197,9 +1111,11 @@ mod tests {
     fn default_spec_matches_the_builder_wiring() {
         let builder = FlowPipeline::builder()
             .map(false)
-            .restrict_fanout(3)
-            .insert_buffers(BufferStrategy::Asap)
-            .verify(Some(3))
+            .then(PassSpec::RestrictFanout { limit: 3 })
+            .then(PassSpec::InsertBuffers(BufferStrategy::Asap))
+            .then(PassSpec::Verify {
+                fanout_limit: Some(3),
+            })
             .build()
             .unwrap();
         assert_eq!(

@@ -11,13 +11,6 @@
 //! marking: unchanged cones keep their hash and hit caches keyed by it,
 //! changed cones miss and recompute.
 //!
-//! For shared logic the partition also folds **level-band subhashes** —
-//! the arena split into horizontal bands of [`ConePartition::band_width`]
-//! logic levels, each band hashed over its members in arena order — so
-//! callers can localize *where* in the depth profile two graph versions
-//! diverge ([`ConePartition::dirty_bands`]) even when many cones overlap
-//! the changed region.
-//!
 //! [`extract_cone`] materializes one cone as a self-contained [`Mig`]
 //! with canonical graph/output names: the extraction is a deterministic
 //! replay in arena order, so two cones with equal hashes extract to
@@ -54,11 +47,6 @@ use crate::graph::Mig;
 use crate::node::Node;
 use crate::signal::{NodeId, Signal};
 
-/// Default height (in logic levels) of one level band — wide enough
-/// that band bookkeeping stays negligible next to the per-node hash
-/// pass, narrow enough to localize an edit within a deep pipeline.
-pub const DEFAULT_BAND_WIDTH: u32 = 8;
-
 /// The canonical name given to every extracted cone graph and its
 /// single output, so structurally equal cones extract byte-identically
 /// and share downstream cache entries.
@@ -85,32 +73,19 @@ pub struct Cone {
     pub root: Signal,
 }
 
-/// A graph's decomposition into per-output cones plus level-band
-/// subhashes. See the [module docs](self).
+/// A graph's decomposition into per-output cones. See the
+/// [module docs](self).
 #[derive(Clone, Debug)]
 pub struct ConePartition {
     cones: Vec<Cone>,
-    band_hashes: Vec<u64>,
-    band_width: u32,
     node_hashes: Vec<u64>,
 }
 
 impl ConePartition {
-    /// Analyzes `graph` with the [`DEFAULT_BAND_WIDTH`].
+    /// Analyzes `graph`: per-node merkle hashes, then one hash per
+    /// output cone.
     pub fn analyze(graph: &Mig) -> ConePartition {
-        ConePartition::with_band_width(graph, DEFAULT_BAND_WIDTH)
-    }
-
-    /// Analyzes `graph` with `band_width` logic levels per band.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `band_width == 0`.
-    pub fn with_band_width(graph: &Mig, band_width: u32) -> ConePartition {
-        assert!(band_width > 0, "band width must be positive");
-        let mut node_hashes = Vec::new();
-        extend_node_hashes(graph, &mut node_hashes);
-        ConePartition::build(graph, band_width, node_hashes, &HashMap::new())
+        ConePartition::build(graph, node_hashes(graph), &HashMap::new())
     }
 
     /// Re-analyzes `graph` reusing this partition's work: per-node
@@ -118,8 +93,7 @@ impl ConePartition {
     /// immutable) and any cone whose root [`Signal`] matches one of this
     /// partition's keeps its hash and gate count without a traversal.
     /// For an ECO session this turns the per-run analysis from
-    /// `O(Σ cone sizes)` into `O(new nodes + dirty cones)` plus the
-    /// `O(nodes)` band fold.
+    /// `O(Σ cone sizes)` into `O(new nodes + dirty cones)`.
     ///
     /// `graph` must be an **append-only extension** of the graph this
     /// partition analyzed: the arena prefix of the analyzed length is
@@ -144,30 +118,14 @@ impl ConePartition {
             .iter()
             .map(|c| (c.root, (c.hash, c.gates)))
             .collect();
-        ConePartition::build(graph, self.band_width, node_hashes, &known)
+        ConePartition::build(graph, node_hashes, &known)
     }
 
     fn build(
         graph: &Mig,
-        band_width: u32,
         node_hashes: Vec<u64>,
         known: &HashMap<Signal, (u64, usize)>,
     ) -> ConePartition {
-        // Level bands: fold every node's hash into its level's band, in
-        // arena order (the per-band accumulator sees nodes in the same
-        // order an arena walk does, so the subhash is stable).
-        let levels = graph.levels();
-        let bands = levels
-            .iter()
-            .map(|&l| (l / band_width) as usize)
-            .max()
-            .map_or(0, |top| top + 1);
-        let mut accums = vec![Fnv64::new(); bands];
-        for (idx, &level) in levels.iter().enumerate() {
-            accums[(level / band_width) as usize].write_u64(node_hashes[idx]);
-        }
-        let band_hashes = accums.iter().map(Fnv64::finish).collect();
-
         // Per-output cones: marked DFS (output index as the mark epoch)
         // collecting members, then an arena-order fold. Fan-ins always
         // point backwards, so the root is the member with the highest
@@ -229,12 +187,7 @@ impl ConePartition {
             })
             .collect();
 
-        ConePartition {
-            cones,
-            band_hashes,
-            band_width,
-            node_hashes,
-        }
+        ConePartition { cones, node_hashes }
     }
 
     /// The cones, one per primary output, in output order.
@@ -250,28 +203,6 @@ impl ConePartition {
     /// Whether the analyzed graph had no outputs.
     pub fn is_empty(&self) -> bool {
         self.cones.is_empty()
-    }
-
-    /// Level-band subhashes, band 0 (levels `0..band_width`) first.
-    pub fn band_hashes(&self) -> &[u64] {
-        &self.band_hashes
-    }
-
-    /// Height of one level band, in logic levels.
-    pub fn band_width(&self) -> u32 {
-        self.band_width
-    }
-
-    /// Indices of level bands whose subhash differs from `earlier`'s —
-    /// where in the depth profile the two graph versions diverge. Bands
-    /// present on only one side count as dirty.
-    pub fn dirty_bands(&self, earlier: &ConePartition) -> Vec<usize> {
-        let common = self.band_hashes.len().min(earlier.band_hashes.len());
-        let longest = self.band_hashes.len().max(earlier.band_hashes.len());
-        (0..common)
-            .filter(|&b| self.band_hashes[b] != earlier.band_hashes[b])
-            .chain(common..longest)
-            .collect()
     }
 }
 
@@ -390,8 +321,6 @@ mod tests {
         let a = ConePartition::analyze(&g);
         let b = ConePartition::analyze(&g.clone());
         assert_eq!(a.cones(), b.cones());
-        assert_eq!(a.band_hashes(), b.band_hashes());
-        assert!(a.dirty_bands(&b).is_empty());
     }
 
     #[test]
@@ -509,30 +438,6 @@ mod tests {
                 assert_eq!(want, got, "output {i}, assignment {assignment:b}");
             }
         }
-    }
-
-    #[test]
-    fn band_diff_localizes_an_edit() {
-        // Band hashes fold node content only, so an output-polarity flip
-        // leaves every band clean …
-        let g = sample(6);
-        let before = ConePartition::with_band_width(&g, 4);
-        let mut edited = g.clone();
-        let flipped = !edited.outputs()[0].signal;
-        edited.set_output_signal(0, flipped);
-        let after = ConePartition::with_band_width(&edited, 4);
-        assert!(after.dirty_bands(&before).is_empty());
-        assert_eq!(after.band_width(), 4);
-
-        // … while a new gate dirties exactly its level's band.
-        let a = edited.inputs()[0].signal();
-        let b = edited.inputs()[1].signal();
-        let c = edited.inputs()[2].signal();
-        let gate = edited.add_maj(a, b, c);
-        edited.set_output_signal(0, gate);
-        let grown = ConePartition::with_band_width(&edited, 4);
-        let level = edited.levels()[gate.node().index()];
-        assert_eq!(grown.dirty_bands(&before), vec![(level / 4) as usize]);
     }
 
     #[test]

@@ -146,8 +146,8 @@ impl EquivalencePolicy {
     /// Note that `rounds == 0` makes the policy vacuous for any
     /// function above the exhaustive ceiling: the check returns
     /// [`Equivalence::ProbablyEqual`]` { rounds: 0 }` having compared
-    /// zero patterns. The spec layer rejects such gates
-    /// (`wavepipe::SpecError::EquivalenceGateZeroRounds`).
+    /// zero patterns. The pipeline builder rejects such gates
+    /// (`wavepipe::PipelineError::GateZeroRounds`).
     pub fn sampled(rounds: usize, seed: u64) -> EquivalencePolicy {
         EquivalencePolicy {
             exhaustive_inputs: 0,

@@ -39,7 +39,7 @@
 //!   bit-parallel simulation, exhaustive tables and equivalence checks.
 //! * [`analysis`] — path/base-distance analysis (the paper's §III
 //!   definitions) and fan-out histograms.
-//! * [`cone`] — per-output cone content hashing, level-band diffing and
+//! * [`cone`] — per-output cone content hashing and
 //!   cone extraction (the incremental engine's dirty-region unit).
 //! * [`rewrite`] — Ω-axiom rewriting: [`optimize_depth`],
 //!   [`optimize_size`].
@@ -68,7 +68,7 @@ mod truth_table;
 pub use analysis::{
     BaseDistance, ConeAnalysis, FanoutHistogram, GraphStats, PathAnalysis, Support,
 };
-pub use cone::{extract_cone, Cone, ConePartition, DEFAULT_BAND_WIDTH};
+pub use cone::{extract_cone, Cone, ConePartition};
 pub use equivalence::{
     check_equivalence, check_equivalence_seeded, check_equivalence_with_policy,
     check_word_functions, check_word_functions_sharded, CheckError, Equivalence, EquivalencePolicy,

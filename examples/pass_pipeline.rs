@@ -1,13 +1,13 @@
-//! The pass-pipeline API: assemble custom flow configurations, inspect
-//! per-pass instrumentation, and evaluate a batch of circuits in
-//! parallel on the engine's grid driver.
+//! The pass-pipeline API: name flow configurations as `PipelineSpec`
+//! chains, inspect per-pass instrumentation, and evaluate a batch of
+//! circuits in parallel on the engine's grid driver.
 //!
 //! ```text
 //! cargo run --release --example pass_pipeline
 //! ```
 
 use wave_pipelining::prelude::*;
-use wavepipe::{BufferStrategy, DelayWeights, FlowPipeline};
+use wavepipe::{BufferStrategy, DelayWeights};
 
 fn main() {
     let g = find_benchmark("HAMMING").expect("suite benchmark").build();
@@ -15,8 +15,7 @@ fn main() {
     // 1. The paper's default flow (FO3 + BUF), as an explicit pipeline.
     //    Every run records wall time, component delta and depth change
     //    per pass.
-    let default_flow = FlowPipeline::builder()
-        .map(false)
+    let default_flow = PipelineSpec::map(false)
         .restrict_fanout(3)
         .insert_buffers(BufferStrategy::Asap)
         .verify(Some(3))
@@ -33,8 +32,7 @@ fn main() {
 
     // 2. New scenarios are one-line pipeline edits. Retimed insertion:
     //    same depth, fewer buffers.
-    let retimed = FlowPipeline::builder()
-        .map(false)
+    let retimed = PipelineSpec::map(false)
         .restrict_fanout(3)
         .insert_buffers(BufferStrategy::Retimed) // ← the one line
         .verify(Some(3))
@@ -49,8 +47,8 @@ fn main() {
     );
 
     // 3. Weighted (QCA-tailored) balancing — swap strategy and verifier.
-    let weighted = FlowPipeline::builder()
-        .map(true) // inverter-minimized mapping: INV is QCA's priciest cell
+    // Inverter-minimized mapping: INV is QCA's priciest cell.
+    let weighted = PipelineSpec::map(true)
         .restrict_fanout(3)
         .insert_buffers(BufferStrategy::Weighted(DelayWeights::QCA))
         .verify_weighted(DelayWeights::QCA)
@@ -66,8 +64,7 @@ fn main() {
 
     // 4. Ill-ordered pipelines never build: §IV requires fan-out
     //    restriction before buffer insertion.
-    let err = FlowPipeline::builder()
-        .map(false)
+    let err = PipelineSpec::map(false)
         .insert_buffers(BufferStrategy::Asap)
         .restrict_fanout(3)
         .build()
@@ -100,17 +97,10 @@ fn main() {
         println!("  k={k}: mean size ratio {mean:.2}×");
     }
 
-    // 6. The cost-model layer: attach a technology and every pass is
-    //    priced (area / energy / cycle-time deltas in the trace).
-    let priced = FlowPipeline::builder()
-        .map(false)
-        .restrict_fanout(3)
-        .insert_buffers(BufferStrategy::Asap)
-        .verify(Some(3))
-        .with_cost_model(&Technology::qca())
-        .build()
-        .expect("well-ordered")
-        .run(&g)
+    // 6. The cost-model layer: run against a technology and every pass
+    //    is priced (area / energy / cycle-time deltas in the trace).
+    let priced = default_flow
+        .run_with_model(&g, Some(&Technology::qca().cost_table()))
         .expect("flow verifies");
     println!("\npriced trace (QCA) on HAMMING:");
     print!("{}", priced.trace_table());

@@ -73,14 +73,25 @@ fn spec_validation_rejects_bad_experiments() {
         engine.run(&FlowSpec::new("unknown").circuit("NOT_A_BENCHMARK")),
         Err(FlowError::Spec(SpecError::UnknownCircuit(_)))
     ));
-    assert!(matches!(
-        engine.run(
+    let err = engine
+        .run(
             &FlowSpec::new("k6")
                 .with_pipeline(PipelineSpec::map(false).restrict_fanout(6))
-                .circuit("SASC")
+                .circuit("SASC"),
+        )
+        .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            FlowError::Pipeline(PipelineError::FanoutLimitOutOfRange(6))
         ),
-        Err(FlowError::Spec(SpecError::FanoutLimitOutOfRange(6)))
-    ));
+        "{err:?}"
+    );
+    assert!(
+        err.to_string()
+            .ends_with("fan-out limit 6 is outside the feasible range 2..=5 (§IV)"),
+        "{err}"
+    );
     assert!(matches!(
         engine.run(
             &FlowSpec::new("ill")
@@ -118,12 +129,17 @@ fn out_of_range_delay_weights_are_rejected_before_anything_runs() {
         ] {
             let spec = FlowSpec::from_json(&one_pass_spec_json(&pass)).expect("parses");
             assert!(
-                matches!(spec.validate(), Err(SpecError::DelayWeightsOutOfRange(_))),
+                matches!(
+                    spec.pipeline.build(),
+                    Err(PipelineError::DelayWeightsOutOfRange(_))
+                ),
                 "{pass}"
             );
             assert!(matches!(
                 engine.run(&spec),
-                Err(FlowError::Spec(SpecError::DelayWeightsOutOfRange(_)))
+                Err(FlowError::Pipeline(PipelineError::DelayWeightsOutOfRange(
+                    _
+                )))
             ));
         }
     }

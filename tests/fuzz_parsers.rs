@@ -6,9 +6,13 @@
 //! seeds: the checked-in `examples/engine_spec.json`, one request line
 //! of each kind, and `write_mig` of a small synthetic graph. Every
 //! input is read through `String::from_utf8_lossy` and handed to all
-//! three parsers. The oracle: each returns `Ok` or `Err` and never
-//! panics.
+//! three parsers. The oracle: each returns `Ok` or `Err`, never
+//! panics, and never holds more than [`BYTES_PER_INPUT_BYTE`] live heap
+//! bytes per input byte plus [`BASE_BYTES`] at once — so no input can
+//! make a parser allocate out of proportion to its length.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 
@@ -17,6 +21,84 @@ use wavepipe::FlowSpec;
 use wavepipe_serve::{Control, Request};
 
 type Parser = fn(&str);
+
+/// Heap bytes a parser may hold per input byte. A parsed JSON value is
+/// 32 bytes and an array's first allocation holds four of them, so the
+/// two bytes of a nested `[` `]` pair cost 128; vectors grow by
+/// doubling. The worst shapes below (deeply nested arrays) hold about
+/// 80 bytes per input byte.
+const BYTES_PER_INPUT_BYTE: usize = 256;
+
+/// Heap bytes a parser may hold regardless of input length: hash-map
+/// and vector first allocations, error messages.
+const BASE_BYTES: usize = 64 * 1024;
+
+/// The system allocator, counting each thread's live heap bytes and
+/// their high-water mark. Counts are per thread, so the test harness's
+/// parallel tests do not see each other's allocations.
+struct CountingAlloc;
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+thread_local! {
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    static PEAK: Cell<isize> = const { Cell::new(0) };
+}
+
+/// Adds `delta` to this thread's live bytes and raises its peak. During
+/// thread teardown the counters may be gone; nothing is counted then.
+fn count(delta: isize) {
+    let _ = LIVE.try_with(|live| {
+        let now = live.get().wrapping_add(delta);
+        live.set(now);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(now)));
+    });
+}
+
+// SAFETY: every call forwards to `System` unchanged; the counters are
+// plain thread-local cells that never allocate.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let ptr = System.alloc(layout);
+        if !ptr.is_null() {
+            count(layout.size() as isize);
+        }
+        ptr
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let ptr = System.alloc_zeroed(layout);
+        if !ptr.is_null() {
+            count(layout.size() as isize);
+        }
+        ptr
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+        count(-(layout.size() as isize));
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let new = System.realloc(ptr, layout, new_size);
+        if !new.is_null() {
+            // Both blocks may be live during the move: count the peak.
+            count(new_size as isize);
+            count(-(layout.size() as isize));
+        }
+        new
+    }
+}
+
+/// Peak heap bytes `f` holds on this thread beyond what was live
+/// before it ran.
+fn peak_bytes(f: impl FnOnce()) -> usize {
+    let base = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(base));
+    f();
+    (PEAK.with(Cell::get) - base).max(0) as usize
+}
 
 /// The parsers under test; each discards its result, `Ok` or `Err`.
 const PARSERS: [(&str, Parser); 3] = [
@@ -32,13 +114,24 @@ const PARSERS: [(&str, Parser); 3] = [
 /// token more often than uniform bytes do.
 const ALPHABET: &[u8] = b"{}[]\":,.-+0123456789eE\\u tfnrlasMAJ()!=\n#abgio_";
 
-/// Runs every parser on `bytes` and fails with the input if one panics.
+/// Runs every parser on `bytes` and fails with the input if one panics
+/// or holds more heap than the linear bound allows.
 fn parse_all(bytes: &[u8]) {
     let text = String::from_utf8_lossy(bytes);
+    let bound = BYTES_PER_INPUT_BYTE * text.len() + BASE_BYTES;
     for (name, parse) in PARSERS {
-        if catch_unwind(AssertUnwindSafe(|| parse(&text))).is_err() {
+        let mut panicked = false;
+        let peak = peak_bytes(|| {
+            panicked = catch_unwind(AssertUnwindSafe(|| parse(&text))).is_err();
+        });
+        if panicked {
             panic!("{name} panicked on {text:?}");
         }
+        assert!(
+            peak <= bound,
+            "{name} held {peak} heap bytes on a {}-byte input (bound {bound}): {text:?}",
+            text.len()
+        );
     }
 }
 
@@ -173,4 +266,50 @@ fn every_seed_parses_with_its_own_parser() {
         Request::parse(&text(i)).expect("request seed");
     }
     mig::parse_mig(&text(5)).expect("mig seed");
+}
+
+/// Long inputs of the shapes that allocate most per byte: flat and
+/// nested JSON arrays and objects, escape-heavy strings, and `.mig`
+/// files made of declarations, gates and output bindings.
+#[test]
+fn allocation_heavy_shapes_stay_within_the_linear_bound() {
+    let n = 20_000;
+    let names = |prefix: &str| {
+        (0..n / 4)
+            .map(|i| format!("{prefix}{i}"))
+            .collect::<Vec<_>>()
+            .join(" ")
+    };
+    let gates: String = (0..n / 4)
+        .map(|i| {
+            format!(
+                "g{i} = MAJ(i{i}, !i{}, i{})\n",
+                (i + 1) % (n / 4),
+                (i + 2) % (n / 4)
+            )
+        })
+        .collect();
+    let nested = format!("{}{},", "[".repeat(100), "]".repeat(100));
+    let run_prefix = r#"{"id":1,"spec":{"name":"x","technologies":[],"circuits":["A"],"#;
+    let inputs = [
+        format!("[{}0]", "0,".repeat(n)),
+        format!("[{}[]]", "[],".repeat(n)),
+        format!("[{}{{}}]", "{},".repeat(n)),
+        format!("{{{}\"a\":0}}", "\"a\":0,".repeat(n)),
+        format!("[{}\"\"]", "\"\",".repeat(n)),
+        format!("\"{}\"", "\\u0041".repeat(n)),
+        format!("[{}0]", nested.repeat(n / 200)),
+        format!(
+            r#"{run_prefix}"pipeline":{{"minimize_inverters":false,"passes":[{}{{"pass":"verify","fanout_limit":3}}]}}}}}}"#,
+            r#"{"pass":"restrict_fanout","limit":3},"#.repeat(n / 16)
+        ),
+        format!(
+            ".model m\n.inputs {}\n.outputs o\n{gates}o = g0\n",
+            names("i")
+        ),
+        format!(".model m\n.inputs a b c\n.outputs {}\n", names("o")),
+    ];
+    for input in &inputs {
+        parse_all(input.as_bytes());
+    }
 }

@@ -6,8 +6,8 @@
 use proptest::prelude::*;
 use tech::{compare, evaluate, OperatingMode, Technology};
 use wavepipe::{
-    BufferStrategy, FlowContext, FlowPipeline, FlowResult, Pass, PassError, PipelineSpec,
-    PricedCost,
+    BufferStrategy, CostTable, FlowContext, FlowPipeline, FlowResult, Pass, PassError, PassSpec,
+    PipelineSpec, PricedCost,
 };
 use wavepipe_bench::harness::{build_suite, engine, evaluate_suite_grid, QUICK_SUBSET};
 
@@ -115,20 +115,22 @@ enum Step {
 }
 
 fn build_and_run(steps: &[Step], technology: &Technology, g: &mig::Mig) -> Vec<PricedCost> {
-    let mut builder = FlowPipeline::builder().with_cost_model(technology);
+    let mut builder = FlowPipeline::builder();
     for step in steps {
         builder = match step {
             Step::Map => builder.map(false),
-            Step::Fanout => builder.restrict_fanout(3),
-            Step::Buffers => builder.insert_buffers(BufferStrategy::Asap),
-            Step::Verify => builder.verify(Some(3)),
+            Step::Fanout => builder.then(PassSpec::RestrictFanout { limit: 3 }),
+            Step::Buffers => builder.then(PassSpec::InsertBuffers(BufferStrategy::Asap)),
+            Step::Verify => builder.then(PassSpec::Verify {
+                fanout_limit: Some(3),
+            }),
             Step::Noop => builder.pass(Box::new(NoopPass)),
         };
     }
     builder
         .build()
         .expect("builder-permitted ordering")
-        .run(g)
+        .run_with_model(g, Some(&CostTable::from_model(technology)))
         .expect("flow verifies")
         .trace
         .iter()

@@ -20,7 +20,8 @@ use wavepipe::differential::{self};
 use wavepipe::lint::{LintContext, LintDriver, Severity};
 use wavepipe::{
     lint_mig, lint_netlist, lint_spec, BufferStrategy, ComponentKind, CostModel, CostTable, Engine,
-    EquivalencePolicy, FlowError, FlowPipeline, FlowSpec, Netlist, Pass, PassError, PipelineSpec,
+    EquivalencePolicy, FlowError, FlowPipeline, FlowPipelineBuilder, FlowSpec, Netlist, Pass,
+    PassError, PassSpec, PipelineSpec,
 };
 use wavepipe_bench::harness::QUICK_SUBSET;
 
@@ -255,16 +256,23 @@ fn engine_rejects_a_spec_with_an_untimeable_technology() {
     }
 }
 
+/// The paper's flow on the builder, where the lint gate lives.
+fn paper_flow() -> FlowPipelineBuilder {
+    FlowPipeline::builder()
+        .map(false)
+        .then(PassSpec::RestrictFanout { limit: LIMIT })
+        .then(PassSpec::InsertBuffers(BufferStrategy::Asap))
+        .then(PassSpec::Verify {
+            fanout_limit: Some(LIMIT),
+        })
+}
+
 /// Static/dynamic agreement: every quick-suite circuit that passes
 /// per-pass differential equivalence gating also lints with zero
 /// error-severity diagnostics.
 #[test]
 fn quick_suite_agreement_with_the_differential_engine() {
-    let pipeline = FlowPipeline::builder()
-        .map(false)
-        .restrict_fanout(LIMIT)
-        .insert_buffers(BufferStrategy::Asap)
-        .verify(Some(LIMIT))
+    let pipeline = paper_flow()
         .gate_equivalence(EquivalencePolicy::default())
         .gate_lints()
         .build()
@@ -290,8 +298,7 @@ fn quick_suite_agreement_with_the_differential_engine() {
 #[test]
 fn gap_injection_is_caught_statically_not_dynamically() {
     let g = benchsuite::build_mig("SASC").expect("registry circuit");
-    let run = FlowPipeline::builder()
-        .map(false)
+    let run = PipelineSpec::map(false)
         .restrict_fanout(LIMIT)
         .insert_buffers(BufferStrategy::Asap)
         .verify(Some(LIMIT))
@@ -373,8 +380,8 @@ fn lint_gate_names_the_pass_that_broke_legality() {
     let g = benchsuite::build_mig("SASC").expect("registry circuit");
     let err = FlowPipeline::builder()
         .map(false)
-        .restrict_fanout(LIMIT)
-        .insert_buffers(BufferStrategy::Asap)
+        .then(PassSpec::RestrictFanout { limit: LIMIT })
+        .then(PassSpec::InsertBuffers(BufferStrategy::Asap))
         .pass(Box::new(GapPass))
         .gate_lints()
         .build()
@@ -418,11 +425,7 @@ fn lint_report_round_trips_subject_diagnostics() {
 #[test]
 fn clean_flow_with_lint_gate_keeps_its_trace() {
     let g = benchsuite::build_mig("SASC").expect("registry circuit");
-    let run = FlowPipeline::builder()
-        .map(false)
-        .restrict_fanout(LIMIT)
-        .insert_buffers(BufferStrategy::Asap)
-        .verify(Some(LIMIT))
+    let run = paper_flow()
         .gate_lints()
         .build()
         .expect("well-ordered pipeline")
@@ -479,11 +482,7 @@ proptest! {
     fn synthetic_flows_lint_clean(family in 0..benchsuite::synth::FAMILIES.len(), seed in 0u64..200) {
         let name = format!("synth:{}:{}", benchsuite::synth::FAMILIES[family], seed);
         let g = benchsuite::build_mig(&name).expect("synth grammar");
-        let run = FlowPipeline::builder()
-            .map(false)
-            .restrict_fanout(LIMIT)
-            .insert_buffers(BufferStrategy::Asap)
-            .verify(Some(LIMIT))
+        let run = paper_flow()
             .gate_lints()
             .build()
             .expect("well-ordered pipeline")

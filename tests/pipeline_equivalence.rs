@@ -5,7 +5,9 @@
 
 use proptest::prelude::*;
 use wave_pipelining::prelude::*;
-use wavepipe::{insert_buffers, verify_balance, BufferStrategy, FlowPipeline, PipelineError};
+use wavepipe::{
+    insert_buffers, verify_balance, BufferStrategy, FlowPipeline, PassSpec, PipelineError,
+};
 use wavepipe_bench::harness::{build_suite, QUICK_SUBSET};
 
 /// The paper's flow as four direct calls, the golden reference:
@@ -115,9 +117,11 @@ enum Step {
 fn apply(builder: wavepipe::FlowPipelineBuilder, step: Step) -> wavepipe::FlowPipelineBuilder {
     match step {
         Step::Map => builder.map(false),
-        Step::Fanout => builder.restrict_fanout(3),
-        Step::Buffers => builder.insert_buffers(BufferStrategy::Asap),
-        Step::Verify => builder.verify(Some(3)),
+        Step::Fanout => builder.then(PassSpec::RestrictFanout { limit: 3 }),
+        Step::Buffers => builder.then(PassSpec::InsertBuffers(BufferStrategy::Asap)),
+        Step::Verify => builder.then(PassSpec::Verify {
+            fanout_limit: Some(3),
+        }),
     }
 }
 
@@ -208,11 +212,7 @@ proptest! {
             depth: 6,
             seed,
         });
-        let run = FlowPipeline::builder()
-            .map(false)
-            .restrict_fanout(3)
-            .insert_buffers(BufferStrategy::Asap)
-            .verify(Some(3))
+        let run = PipelineSpec::default()
             .build()
             .expect("well-ordered")
             .run(&g)

@@ -7,7 +7,7 @@
 
 use wavepipe::{
     differential, BufferStrategy, EquivalencePolicy, FlowContext, FlowPipeline, Netlist, Pass,
-    PassError, StructuralCaches,
+    PassError, PassSpec, StructuralCaches,
 };
 
 fn sample_mig(seed: u64) -> mig::Mig {
@@ -95,9 +95,11 @@ fn prepared_pass_variants_see_fresh_views_after_mutation() {
     let run = FlowPipeline::builder()
         .map(false)
         .pass(Box::new(PrimeThenMutatePass))
-        .restrict_fanout(3)
-        .insert_buffers(BufferStrategy::Asap)
-        .verify(Some(3))
+        .then(PassSpec::RestrictFanout { limit: 3 })
+        .then(PassSpec::InsertBuffers(BufferStrategy::Asap))
+        .then(PassSpec::Verify {
+            fanout_limit: Some(3),
+        })
         .build()
         .unwrap()
         .run(&g)
@@ -180,9 +182,11 @@ fn standalone_caches_invalidate_and_gated_flow_stays_sound() {
     let run = FlowPipeline::builder()
         .map(false)
         .pass(Box::new(SweepPass))
-        .restrict_fanout(3)
-        .insert_buffers(BufferStrategy::Asap)
-        .verify(Some(3))
+        .then(PassSpec::RestrictFanout { limit: 3 })
+        .then(PassSpec::InsertBuffers(BufferStrategy::Asap))
+        .then(PassSpec::Verify {
+            fanout_limit: Some(3),
+        })
         .gate_equivalence(EquivalencePolicy::default())
         .build()
         .unwrap()
