@@ -131,7 +131,7 @@ pub mod verify;
 mod wavesim;
 mod weighted;
 
-pub use mig::{EquivalencePolicy, PatternBlock, SweepConfig, WordFunction, DEFAULT_BLOCK_WORDS};
+pub use mig::{EquivalencePolicy, PatternBlock, WordFunction};
 
 pub use arena::EvalArena;
 pub use balance::{check_balance, verify_balance, BalanceError, BalanceReport};
@@ -155,5 +155,5 @@ pub use pipeline::{
 pub use retiming::{schedule_levels, LevelSchedule};
 pub use spec::{CacheSpec, CircuitSpec, FlowSpec, PassSpec, PipelineSpec, SpecError, SynthSpec};
 pub use verify::{differential, NetlistFunction};
-pub use wavesim::{WaveRun, WaveSimulator, WaveWideRun, WaveWordRun};
+pub use wavesim::{WaveRun, WaveSimulator, WaveWideRun};
 pub use weighted::{weighted_arrivals, DelayWeights, WeightedInsertion};

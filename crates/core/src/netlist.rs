@@ -800,7 +800,7 @@ impl Netlist {
     pub fn try_eval(&self, pattern: &[bool]) -> Result<Vec<bool>, NetlistError> {
         let words: Vec<u64> = pattern.iter().map(|&b| if b { !0 } else { 0 }).collect();
         Ok(self
-            .try_eval_words(&words)?
+            .try_eval_wide(&words, 1)?
             .into_iter()
             .map(|w| w & 1 != 0)
             .collect())
@@ -820,20 +820,11 @@ impl Netlist {
     ///
     /// Panics if `pattern.len()` differs from the input count or the
     /// netlist contains a combinational cycle; use
-    /// [`Netlist::try_eval_words`] for untrusted structures.
+    /// [`Netlist::try_eval_wide`] with `width == 1` for untrusted
+    /// structures.
     pub fn eval_words(&self, pattern: &[u64]) -> Vec<u64> {
-        self.try_eval_words(pattern)
-            .unwrap_or_else(|e| panic!("eval_words failed: {e}"))
-    }
-
-    /// Fallible [`Netlist::eval_words`].
-    ///
-    /// # Errors
-    ///
-    /// [`NetlistError::WidthMismatch`] or
-    /// [`NetlistError::CombinationalCycle`].
-    pub fn try_eval_words(&self, pattern: &[u64]) -> Result<Vec<u64>, NetlistError> {
         self.try_eval_wide(pattern, 1)
+            .unwrap_or_else(|e| panic!("eval_words failed: {e}"))
     }
 
     /// Evaluates `width` 64-lane pattern blocks in one traversal:
@@ -1119,7 +1110,7 @@ mod tests {
             assert_eq!(scalar[1], out[1] >> p & 1 != 0, "pattern {p}");
         }
         assert_eq!(
-            n.try_eval_words(&[0]),
+            n.try_eval_wide(&[0], 1),
             Err(NetlistError::WidthMismatch {
                 inputs: 2,
                 pattern: 1

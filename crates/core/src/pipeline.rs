@@ -743,13 +743,7 @@ impl FlowPipeline {
                         .try_eval_arena(&ctx.netlist)
                         .map_err(differential::DifferentialError::Netlist)
                         .and_then(|arena| {
-                            differential::check_prepared(
-                                &ctx.netlist,
-                                arena,
-                                ctx.graph,
-                                policy,
-                                &mig::SweepConfig::from_env(),
-                            )
+                            differential::check_prepared(&ctx.netlist, arena, ctx.graph, policy)
                         });
                     match checked {
                         Ok(Verdict::Equivalent { .. }) => {}
@@ -1048,13 +1042,17 @@ fn compile(spec: PassSpec) -> Result<Box<dyn Pass>, PipelineError> {
         PassSpec::InsertBuffers(strategy) => {
             Box::new(crate::buffer_insertion::InsertBuffersPass(strategy))
         }
-        PassSpec::Verify { fanout_limit } => Box::new(verify(BufferStrategy::Asap, fanout_limit)),
+        PassSpec::Verify { fanout_limit } => Box::new(verify(
+            BufferStrategy::Asap,
+            fanout_limit.map(limit).transpose()?,
+        )),
         PassSpec::VerifyWeighted(w) => {
             Box::new(verify(BufferStrategy::Weighted(weights(w)?), None))
         }
-        PassSpec::VerifyCostAware { fanout_limit } => {
-            Box::new(verify(BufferStrategy::CostAware, fanout_limit))
-        }
+        PassSpec::VerifyCostAware { fanout_limit } => Box::new(verify(
+            BufferStrategy::CostAware,
+            fanout_limit.map(limit).transpose()?,
+        )),
         PassSpec::CheckFanoutBound { limit: k } => Box::new(FanoutBoundPass { limit: limit(k)? }),
     })
 }
@@ -1363,8 +1361,13 @@ mod tests {
             let err = PipelineError::FanoutLimitOutOfRange(limit);
             let restrict = rejects(PassSpec::RestrictFanout { limit });
             let bound = rejects(PassSpec::CheckFanoutBound { limit });
+            let fanout_limit = Some(limit);
+            let verify = rejects(PassSpec::Verify { fanout_limit });
+            let cost_aware = rejects(PassSpec::VerifyCostAware { fanout_limit });
             assert_eq!(restrict.unwrap_err(), err);
             assert_eq!(bound.unwrap_err(), err);
+            assert_eq!(verify.unwrap_err(), err);
+            assert_eq!(cost_aware.unwrap_err(), err);
         }
         let zero_buf = DelayWeights {
             buf: 0,

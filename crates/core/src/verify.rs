@@ -30,14 +30,13 @@ use mig::WordFunction;
 use crate::arena::EvalArena;
 use crate::netlist::{Netlist, NetlistError};
 
-pub use mig::{EquivalencePolicy, PatternBlock, SweepConfig};
+pub use mig::{EquivalencePolicy, PatternBlock};
 
 /// A [`Netlist`] as a bit-parallel [`WordFunction`]: the netlist is
 /// flattened once into a shared [`EvalArena`] and the per-slot value
-/// buffer is reused across [`WordFunction::eval_block`] /
-/// [`NetlistFunction::eval_wide`] calls, so an exhaustive sweep costs
-/// one flattening total instead of one traversal-order allocation per
-/// 64-pattern block. [`NetlistFunction::with_arena`] shares one arena
+/// buffer is reused across [`WordFunction::eval_wide`] calls, so an
+/// exhaustive sweep costs one flattening total instead of one
+/// traversal-order allocation per 64-pattern block. [`NetlistFunction::with_arena`] shares one arena
 /// across many functions — that is how [`differential::check`]'s
 /// parallel workers each get a private scratch over the same flattened
 /// structure.
@@ -58,7 +57,7 @@ pub use mig::{EquivalencePolicy, PatternBlock, SweepConfig};
 ///
 /// let mut f = NetlistFunction::new(&n).expect("acyclic");
 /// let block = PatternBlock::exhaustive(2, 0);
-/// let out = f.eval_block(block.words());
+/// let out = f.eval_wide(block.words(), 1);
 /// assert_eq!(out[0] & block.lane_mask(), 0b0100); // only lane 2: a=0,b=1
 /// ```
 #[derive(Debug)]
@@ -102,41 +101,6 @@ impl<'n> NetlistFunction<'n> {
             values: Vec::new(),
         }
     }
-
-    /// The adapted netlist.
-    pub fn netlist(&self) -> &'n Netlist {
-        self.netlist
-    }
-
-    /// The shared flattened arena.
-    pub fn arena(&self) -> Arc<EvalArena> {
-        self.arena.clone()
-    }
-
-    /// Evaluates one 64-pattern block (bit `k` of `pattern[i]` is input
-    /// `i` in pattern `k`), reusing the prepared arena and scratch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pattern.len()` differs from the input count.
-    pub fn eval_words(&mut self, pattern: &[u64]) -> Vec<u64> {
-        self.eval_wide(pattern, 1)
-    }
-
-    /// Evaluates `width` adjacent 64-pattern blocks in one arena walk
-    /// (the [`EvalArena::eval_wide_into`] layout:
-    /// `pattern[i * width + j]`, result `[o * width + j]`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width == 0` or `pattern.len()` is not `input_count()
-    /// * width`.
-    pub fn eval_wide(&mut self, pattern: &[u64], width: usize) -> Vec<u64> {
-        let mut out = Vec::new();
-        self.arena
-            .eval_wide_into(pattern, width, &mut self.values, &mut out);
-        out
-    }
 }
 
 impl WordFunction for NetlistFunction<'_> {
@@ -148,12 +112,19 @@ impl WordFunction for NetlistFunction<'_> {
         self.netlist.outputs().len()
     }
 
-    fn eval_block(&mut self, inputs: &[u64]) -> Vec<u64> {
-        self.eval_words(inputs)
-    }
-
+    /// One arena walk over `width` adjacent blocks (the
+    /// [`EvalArena::eval_wide_into`] layout), reusing the prepared arena
+    /// and scratch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width == 0` or `inputs.len()` is not `input_count() *
+    /// width`.
     fn eval_wide(&mut self, inputs: &[u64], width: usize) -> Vec<u64> {
-        NetlistFunction::eval_wide(self, inputs, width)
+        let mut out = Vec::new();
+        self.arena
+            .eval_wide_into(inputs, width, &mut self.values, &mut out);
+        out
     }
 
     fn output_name(&self, position: usize) -> String {
@@ -314,29 +285,11 @@ pub mod differential {
         graph: &Mig,
         policy: &EquivalencePolicy,
     ) -> Result<Verdict, DifferentialError> {
-        check_with(netlist, graph, policy, &SweepConfig::from_env())
-    }
-
-    /// [`check`] with an explicit [`SweepConfig`] instead of the
-    /// environment-derived default. The sweep configuration is an
-    /// execution knob only: the verdict — including which
-    /// counterexample a broken pair yields — is bit-identical for every
-    /// block width and thread count.
-    ///
-    /// # Errors
-    ///
-    /// As [`check`].
-    pub fn check_with(
-        netlist: &Netlist,
-        graph: &Mig,
-        policy: &EquivalencePolicy,
-        sweep: &SweepConfig,
-    ) -> Result<Verdict, DifferentialError> {
         let arena = Arc::new(EvalArena::try_new(netlist).map_err(DifferentialError::Netlist)?);
-        check_prepared(netlist, arena, graph, policy, sweep)
+        check_prepared(netlist, arena, graph, policy)
     }
 
-    /// [`check_with`] over an already-flattened arena (e.g. the one
+    /// [`check`] over an already-flattened arena (e.g. the one
     /// cached in [`crate::StructuralCaches`]), so repeated gates on the
     /// same netlist snapshot skip re-flattening.
     ///
@@ -354,14 +307,12 @@ pub mod differential {
         arena: Arc<EvalArena>,
         graph: &Mig,
         policy: &EquivalencePolicy,
-        sweep: &SweepConfig,
     ) -> Result<Verdict, DifferentialError> {
         let plan = Arc::new(SimPlan::build(graph));
-        let outcome = mig::check_word_functions_sharded(
+        let outcome = mig::check_word_functions(
             || NetlistFunction::with_arena(netlist, arena.clone()),
             || Simulator::with_plan(graph, plan.clone()),
             policy,
-            sweep,
         )
         .map_err(DifferentialError::Interface)?;
         Ok(match outcome {
@@ -499,8 +450,8 @@ mod tests {
         assert_eq!(f.output_count(), 2);
         assert_eq!(f.output_name(0), "s");
         let block = PatternBlock::exhaustive(3, 0);
-        let first = f.eval_block(block.words());
-        let second = f.eval_block(block.words());
+        let first = f.eval_wide(block.words(), 1);
+        let second = f.eval_wide(block.words(), 1);
         assert_eq!(first, second, "scratch reuse must not leak state");
         assert_eq!(first, n.eval_words(block.words()));
     }

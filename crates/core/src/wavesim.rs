@@ -18,10 +18,11 @@
 //! ([`WaveSimulator::run_wide`]) packs `64 * width` independent wave
 //! *streams* into `width` adjacent `u64` words per cell, so one
 //! phase-step update advances them all at once over flattened,
-//! pre-typed per-phase op lists. [`WaveSimulator::run_words`] is the
-//! one-word case and the scalar [`WaveSimulator::run`] a single-lane
-//! wrapper over that, which is what guarantees the paths can never
-//! disagree.
+//! pre-typed per-phase op lists. The scalar [`WaveSimulator::run`] is a
+//! single-lane wrapper over its `width == 1` case, which is what
+//! guarantees the paths can never disagree.
+
+use mig::WordFunction;
 
 use crate::component::{Component, ComponentKind};
 use crate::netlist::Netlist;
@@ -63,20 +64,6 @@ struct WaveOp {
 pub struct WaveRun {
     /// One output vector per injected input wave, in injection order.
     pub outputs: Vec<Vec<bool>>,
-    /// Netlist depth used for output sampling.
-    pub depth: u32,
-    /// Total phase steps simulated.
-    pub phase_steps: usize,
-}
-
-/// Result of a bit-parallel wave-pipelined simulation run: every `u64`
-/// packs the same wave position of 64 *independent* streams (lane `k`
-/// of every word belongs to stream `k`).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WaveWordRun {
-    /// One word per primary output per injected wave, in injection
-    /// order (`outputs[w][o]`, bit `k` = stream `k`).
-    pub outputs: Vec<Vec<u64>>,
     /// Netlist depth used for output sampling.
     pub depth: u32,
     /// Total phase steps simulated.
@@ -204,7 +191,8 @@ impl<'n> WaveSimulator<'n> {
     /// returned outputs are aligned with the injected waves: entry `w`
     /// is sampled `depth` phase steps after wave `w` was injected.
     ///
-    /// A single-lane wrapper over [`WaveSimulator::run_words`].
+    /// A single-lane wrapper over [`WaveSimulator::run_wide`] at
+    /// `width == 1`.
     ///
     /// # Panics
     ///
@@ -217,7 +205,7 @@ impl<'n> WaveSimulator<'n> {
             .iter()
             .map(|w| w.iter().map(|&b| if b { !0 } else { 0 }).collect())
             .collect();
-        let run = self.run_words(&packed);
+        let run = self.run_wide(&packed, 1);
         WaveRun {
             outputs: run
                 .outputs
@@ -229,30 +217,14 @@ impl<'n> WaveSimulator<'n> {
         }
     }
 
-    /// Streams 64 independent wave sequences at once: bit `k` of
-    /// `waves[w][i]` is the value of input `i` in wave `w` of stream
-    /// `k`. One phase-step update advances all 64 streams, so checking
-    /// a netlist's streaming behaviour over 64 random stimuli costs one
-    /// scalar-run's worth of work.
-    ///
-    /// # Panics
-    ///
-    /// As [`WaveSimulator::run`].
-    pub fn run_words(&self, waves: &[Vec<u64>]) -> WaveWordRun {
-        let run = self.run_wide(waves, 1);
-        WaveWordRun {
-            outputs: run.outputs,
-            depth: run.depth,
-            phase_steps: run.phase_steps,
-        }
-    }
-
     /// Streams `64 * width` independent wave sequences at once: word
     /// `j` of input `i` in wave `w` is `waves[w][i * width + j]`, and
     /// each of its 64 lanes is one stream. One phase-step update
     /// advances every stream, walking the flattened per-phase op lists
-    /// with `width` adjacent words per cell.
-    /// [`WaveSimulator::run_words`] is the `width == 1` case.
+    /// with `width` adjacent words per cell. At `width == 1`, bit `k`
+    /// of `waves[w][i]` is input `i` in wave `w` of stream `k`, so
+    /// checking a netlist's streaming behaviour over 64 random stimuli
+    /// costs one scalar run's worth of work.
     ///
     /// # Panics
     ///
@@ -382,17 +354,17 @@ impl<'n> WaveSimulator<'n> {
     /// Word-level [`WaveSimulator::check_against_golden`]: streams 64
     /// independent stimuli at once and compares every wave of every
     /// lane against the bit-parallel combinational golden model
-    /// ([`Netlist::eval_words`], evaluated through one prepared
+    /// (evaluated through one prepared
     /// [`crate::verify::NetlistFunction`] for the whole stream).
     /// Returns the indices of waves on which *any* lane diverged.
     pub fn check_against_golden_words(&self, waves: &[Vec<u64>]) -> Vec<usize> {
-        let run = self.run_words(waves);
+        let run = self.run_wide(waves, 1);
         let mut golden =
             crate::verify::NetlistFunction::new(self.netlist).expect("levels() proved acyclicity");
         waves
             .iter()
             .enumerate()
-            .filter(|(i, w)| run.outputs[*i] != golden.eval_words(w))
+            .filter(|(i, w)| run.outputs[*i] != golden.eval_wide(w, 1))
             .map(|(i, _)| i)
             .collect()
     }
@@ -558,7 +530,7 @@ mod tests {
         let word_waves: Vec<Vec<u64>> = (0..6)
             .map(|_| (0..3).map(|_| rng.gen()).collect())
             .collect();
-        let word_run = sim.run_words(&word_waves);
+        let word_run = sim.run_wide(&word_waves, 1);
         for lane in [0usize, 1, 17, 63] {
             let scalar_waves: Vec<Vec<bool>> = word_waves
                 .iter()
@@ -594,7 +566,7 @@ mod tests {
                     .iter()
                     .map(|w| (0..3).map(|i| w[i * width + j]).collect())
                     .collect();
-                let word = sim.run_words(&word_waves);
+                let word = sim.run_wide(&word_waves, 1);
                 assert_eq!(word.depth, wide.depth);
                 for (w, out) in word.outputs.iter().enumerate() {
                     let sliced: Vec<u64> = (0..out.len())

@@ -2,7 +2,8 @@
 //! differential-verification engine.
 //!
 //! Any two implementations of the bit-parallel [`WordFunction`]
-//! contract (64 input patterns per `u64` word) can be compared under an
+//! contract (64 input patterns per `u64` word) can be compared by the
+//! one sweep driver, [`check_word_functions`], under an
 //! [`EquivalencePolicy`]:
 //!
 //! * **Exhaustive** for small input counts: all `2^n` patterns swept in
@@ -156,12 +157,6 @@ impl EquivalencePolicy {
         }
     }
 
-    /// The same policy with a different sampling seed.
-    pub fn with_seed(mut self, seed: u64) -> EquivalencePolicy {
-        self.seed = seed;
-        self
-    }
-
     /// `true` if a function with `inputs` inputs is checked
     /// exhaustively under this policy.
     pub fn is_exhaustive_for(&self, inputs: usize) -> bool {
@@ -179,86 +174,10 @@ impl EquivalencePolicy {
     }
 }
 
-/// Default number of 64-lane words per wide sweep block (8 × 64 = 512
-/// patterns per traversal; 8 adjacent `u64`s are exactly one 64-byte
-/// cache line, so every random fan-in read is fully used).
-pub const DEFAULT_BLOCK_WORDS: usize = 8;
-
-/// *How* a block sweep executes — block width and worker count — as
-/// opposed to the [`EquivalencePolicy`], which defines *what* is
-/// checked. Splitting the two keeps execution knobs out of policy
-/// equality, spec serialization and cache keys: any sweep
-/// configuration produces bit-identical verdicts, so it must never
-/// influence a cache key.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SweepConfig {
-    /// 64-lane words evaluated per traversal (≥ 1). Widths 1, 2, 4 and
-    /// 8 hit monomorphized kernels in the flat-arena evaluators.
-    pub block_words: usize,
-    /// Worker threads the exhaustive/sampled sweeps shard over (≥ 1).
-    /// Shards are contiguous block ranges merged in order, so the
-    /// verdict — including the counterexample — is identical for every
-    /// thread count.
-    pub threads: usize,
-}
-
-impl Default for SweepConfig {
-    /// [`DEFAULT_BLOCK_WORDS`]-wide blocks across all available cores.
-    fn default() -> SweepConfig {
-        SweepConfig {
-            block_words: DEFAULT_BLOCK_WORDS,
-            threads: std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-        }
-    }
-}
-
-impl SweepConfig {
-    /// The pre-wide behaviour: one 64-lane word per traversal, one
-    /// thread.
-    pub fn single_word() -> SweepConfig {
-        SweepConfig {
-            block_words: 1,
-            threads: 1,
-        }
-    }
-
-    /// The default configuration with the `WAVEPIPE_BLOCK_WORDS` and
-    /// `WAVEPIPE_THREADS` environment overrides applied (unparsable or
-    /// zero values are ignored).
-    pub fn from_env() -> SweepConfig {
-        let mut sweep = SweepConfig::default();
-        if let Some(words) = env_knob("WAVEPIPE_BLOCK_WORDS") {
-            sweep.block_words = words;
-        }
-        if let Some(threads) = env_knob("WAVEPIPE_THREADS") {
-            sweep.threads = threads;
-        }
-        sweep
-    }
-
-    /// The same configuration with a different block width.
-    pub fn with_block_words(mut self, block_words: usize) -> SweepConfig {
-        self.block_words = block_words.max(1);
-        self
-    }
-
-    /// The same configuration with a different worker count.
-    pub fn with_threads(mut self, threads: usize) -> SweepConfig {
-        self.threads = threads.max(1);
-        self
-    }
-}
-
-/// Reads a positive-integer environment knob; `None` when unset,
-/// unparsable or zero.
-fn env_knob(name: &str) -> Option<usize> {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&v| v > 0)
-}
+/// 64-lane words per wide sweep block (8 × 64 = 512 patterns per
+/// traversal; 8 adjacent `u64`s are exactly one 64-byte cache line, so
+/// every random fan-in read is fully used).
+const DEFAULT_BLOCK_WORDS: usize = 8;
 
 /// Bit patterns of the low-order selector words: bit `k` of
 /// `EXHAUSTIVE_MASKS[i]` is `(k >> i) & 1`.
@@ -273,7 +192,7 @@ const EXHAUSTIVE_MASKS: [u64; 6] = [
 
 /// Up to 64 input patterns packed bit-parallel: bit `k` of word `i` is
 /// the value of input `i` in lane (pattern) `k` — the input shape
-/// [`WordFunction::eval_block`] consumes.
+/// [`WordFunction::eval_wide`] consumes at `width == 1`.
 ///
 /// Blocks are either packed from explicit patterns
 /// ([`PatternBlock::pack`]) or generated as one 64-lane slice of an
@@ -362,22 +281,10 @@ impl PatternBlock {
         let total = 1u64 << inputs;
         let base = block * Self::LANES as u64;
         let lanes = (total - base).min(Self::LANES as u64) as usize;
-        let words = (0..inputs)
-            .map(|i| {
-                if i < EXHAUSTIVE_MASKS.len() {
-                    // The low 6 selector bits cycle within the block.
-                    EXHAUSTIVE_MASKS[i]
-                } else if base >> i & 1 != 0 {
-                    !0
-                } else {
-                    0
-                }
-            })
-            .collect();
         PatternBlock {
             inputs,
             lanes,
-            words,
+            words: (0..inputs).map(|i| exhaustive_word(i, block)).collect(),
         }
     }
 
@@ -417,13 +324,13 @@ impl PatternBlock {
     }
 }
 
-/// A combinational function that evaluates 64 input patterns per call —
-/// the contract the differential engine compares over. Implemented by
-/// [`Simulator`] for MIGs and by `wavepipe`'s netlist adapter, so one
-/// engine serves every "are these two still the same function?"
-/// question in the workspace.
+/// A combinational function evaluated bit-parallel, 64 input patterns
+/// per `u64` lane word — the contract the differential engine compares
+/// over. Implemented by [`Simulator`] for MIGs and by `wavepipe`'s
+/// netlist adapter, so one engine serves every "are these two still
+/// the same function?" question in the workspace.
 ///
-/// `eval_block` takes `&mut self` so implementations can reuse internal
+/// `eval_wide` takes `&mut self` so implementations can reuse internal
 /// scratch buffers across the thousands of blocks an exhaustive sweep
 /// evaluates.
 pub trait WordFunction {
@@ -433,43 +340,14 @@ pub trait WordFunction {
     /// Number of primary outputs.
     fn output_count(&self) -> usize;
 
-    /// Evaluates 64 packed patterns: bit `k` of `inputs[i]` is input
-    /// `i` in pattern `k`; returns one word per output.
-    fn eval_block(&mut self, inputs: &[u64]) -> Vec<u64>;
-
-    /// Evaluates `width` 64-lane blocks in one call: `inputs[i * width
-    /// + j]` is word `j` of input `i`; the result holds word `j` of
-    /// output `o` at `[o * width + j]`.
-    ///
-    /// The default implementation loops [`WordFunction::eval_block`]
-    /// over the blocks, so every implementor is wide-correct by
-    /// construction; flat-arena evaluators override it with a fused
-    /// kernel that amortizes the traversal over all `width` words.
-    fn eval_wide(&mut self, inputs: &[u64], width: usize) -> Vec<u64> {
-        assert!(width > 0, "a wide evaluation needs at least one block");
-        let n = self.input_count();
-        assert_eq!(
-            inputs.len(),
-            n * width,
-            "input pattern width must match input_count() * width"
-        );
-        let mut out = vec![0u64; self.output_count() * width];
-        let mut block = vec![0u64; n];
-        for j in 0..width {
-            for (i, word) in block.iter_mut().enumerate() {
-                *word = inputs[i * width + j];
-            }
-            for (o, word) in self.eval_block(&block).into_iter().enumerate() {
-                out[o * width + j] = word;
-            }
-        }
-        out
-    }
+    /// Evaluates `width` 64-lane blocks in one call:
+    /// `inputs[i * width + j]` is word `j` of input `i` (bit `k` is the
+    /// input's value in lane `k`); the result holds word `j` of output
+    /// `o` at `[o * width + j]`.
+    fn eval_wide(&mut self, inputs: &[u64], width: usize) -> Vec<u64>;
 
     /// Display name of output `position` (used in counterexamples).
-    fn output_name(&self, position: usize) -> String {
-        format!("o{position}")
-    }
+    fn output_name(&self, position: usize) -> String;
 }
 
 /// The corner block of the sampling path: lane 0 is the all-zero
@@ -518,10 +396,7 @@ fn stratified_block(inputs: usize, round: usize, rng: &mut StdRng) -> Vec<u64> {
 }
 
 /// Checks that two word functions have comparable interfaces.
-fn interface_check(
-    left: &(impl WordFunction + ?Sized),
-    right: &(impl WordFunction + ?Sized),
-) -> Result<(), CheckError> {
+fn interface_check(left: &impl WordFunction, right: &impl WordFunction) -> Result<(), CheckError> {
     if left.input_count() != right.input_count() {
         return Err(CheckError::InputCountMismatch {
             left: left.input_count(),
@@ -542,6 +417,7 @@ fn interface_check(
 /// materializing a block.
 fn exhaustive_word(i: usize, block: u64) -> u64 {
     if i < EXHAUSTIVE_MASKS.len() {
+        // The low 6 selector bits cycle within the block.
         EXHAUSTIVE_MASKS[i]
     } else if (block * PatternBlock::LANES as u64) >> i & 1 != 0 {
         !0
@@ -565,9 +441,8 @@ fn block_lane_mask(inputs: usize, block: u64) -> u64 {
 
 /// The first divergence found in a contiguous sweep range, in the
 /// canonical order: block ascending, then output ascending, then lane
-/// ascending — the order every execution shape (narrow, wide, sharded)
-/// reports, which is what makes verdicts bit-identical across
-/// [`SweepConfig`]s.
+/// ascending — the order every block width and shard count reports,
+/// which is what makes verdicts bit-identical across them.
 #[derive(Clone, Copy, Debug)]
 struct Divergence {
     /// Exhaustive block index, or sampling round.
@@ -578,35 +453,39 @@ struct Divergence {
     lane: u32,
 }
 
-/// Scans exhaustive blocks `[start, end)` in `block_words`-wide strides
-/// and returns the range's first divergence (canonical order).
-fn scan_exhaustive_range<L, R>(
+/// Scans blocks `[start, end)` in `width`-wide strides and returns the
+/// range's first divergence (canonical order). `word(i, b)` is the word
+/// of input `i` in block `b`; `lane_mask(b)` masks off block `b`'s
+/// don't-care lanes.
+fn scan<L, R, W, M>(
     left: &mut L,
     right: &mut R,
-    inputs: usize,
-    start: u64,
-    end: u64,
-    block_words: usize,
+    (start, end): (u64, u64),
+    width: usize,
+    word: &W,
+    lane_mask: &M,
 ) -> Option<Divergence>
 where
-    L: WordFunction + ?Sized,
-    R: WordFunction + ?Sized,
+    L: WordFunction,
+    R: WordFunction,
+    W: Fn(usize, u64) -> u64,
+    M: Fn(u64) -> u64,
 {
-    let width = block_words.max(1);
+    let inputs = left.input_count();
     let mut buf = vec![0u64; inputs * width];
     let mut block = start;
     while block < end {
         let w = ((end - block) as usize).min(width);
         for i in 0..inputs {
             for j in 0..w {
-                buf[i * w + j] = exhaustive_word(i, block + j as u64);
+                buf[i * w + j] = word(i, block + j as u64);
             }
         }
         let lo = left.eval_wide(&buf[..inputs * w], w);
         let ro = right.eval_wide(&buf[..inputs * w], w);
         let outputs = lo.len() / w;
         for j in 0..w {
-            let mask = block_lane_mask(inputs, block + j as u64);
+            let mask = lane_mask(block + j as u64);
             for o in 0..outputs {
                 let diff = (lo[o * w + j] ^ ro[o * w + j]) & mask;
                 if diff != 0 {
@@ -623,49 +502,71 @@ where
     None
 }
 
-/// Scans sampling rounds `[start, end)` of a pregenerated round list in
-/// `block_words`-wide strides; first divergence in canonical order.
-fn scan_sampled_range<L, R>(
-    left: &mut L,
-    right: &mut R,
-    rounds: &[Vec<u64>],
-    start: usize,
-    end: usize,
+/// Splits `total` work items into at most `shards` contiguous,
+/// near-equal ranges.
+fn shard_ranges(total: u64, shards: usize) -> Vec<(u64, u64)> {
+    let shards = (shards.max(1) as u64).min(total.max(1));
+    let base = total / shards;
+    let extra = total % shards;
+    let mut ranges = Vec::with_capacity(shards as usize);
+    let mut start = 0;
+    for s in 0..shards {
+        let len = base + u64::from(s < extra);
+        ranges.push((start, start + len));
+        start += len;
+    }
+    ranges
+}
+
+/// Scans blocks `[0, blocks)` as [`shard_ranges`] splits them, in
+/// parallel with per-shard function instances from the two factories,
+/// and merges in range order: the first reporting range holds the
+/// sweep's first divergence.
+fn scan_shards<L, R, W, M>(
+    make_left: &(impl Fn() -> L + Sync),
+    make_right: &(impl Fn() -> R + Sync),
+    blocks: u64,
     block_words: usize,
+    shards: usize,
+    word: W,
+    lane_mask: M,
 ) -> Option<Divergence>
 where
-    L: WordFunction + ?Sized,
-    R: WordFunction + ?Sized,
+    L: WordFunction,
+    R: WordFunction,
+    W: Fn(usize, u64) -> u64 + Sync,
+    M: Fn(u64) -> u64 + Sync,
 {
-    let width = block_words.max(1);
-    let inputs = rounds.first().map_or(0, Vec::len);
-    let mut buf = vec![0u64; inputs * width];
-    let mut round = start;
-    while round < end {
-        let w = (end - round).min(width);
-        for i in 0..inputs {
-            for j in 0..w {
-                buf[i * w + j] = rounds[round + j][i];
-            }
-        }
-        let lo = left.eval_wide(&buf[..inputs * w], w);
-        let ro = right.eval_wide(&buf[..inputs * w], w);
-        let outputs = lo.len() / w;
-        for j in 0..w {
-            for o in 0..outputs {
-                let diff = lo[o * w + j] ^ ro[o * w + j];
-                if diff != 0 {
-                    return Some(Divergence {
-                        at: (round + j) as u64,
-                        output: o,
-                        lane: diff.trailing_zeros(),
-                    });
-                }
-            }
-        }
-        round += w;
+    use rayon::prelude::*;
+    let found: Vec<Option<Divergence>> = shard_ranges(blocks, shards)
+        .par_iter()
+        .map(|&range| {
+            scan(
+                &mut make_left(),
+                &mut make_right(),
+                range,
+                block_words,
+                &word,
+                &lane_mask,
+            )
+        })
+        .collect();
+    found.into_iter().flatten().next()
+}
+
+/// The counterexample of divergence `d`: lane `d.lane` of block `d.at`,
+/// named after the left function's output.
+fn counterexample(
+    left: &impl WordFunction,
+    d: Divergence,
+    word: impl Fn(usize, u64) -> u64,
+) -> Equivalence {
+    Equivalence::NotEqual {
+        output: left.output_name(d.output),
+        pattern: (0..left.input_count())
+            .map(|i| word(i, d.at) >> d.lane & 1 != 0)
+            .collect(),
     }
-    None
 }
 
 /// Generates the policy's full sampling schedule: round 0 is the corner
@@ -685,49 +586,6 @@ fn sampling_rounds(inputs: usize, policy: &EquivalencePolicy) -> Vec<Vec<u64>> {
         .collect()
 }
 
-/// Splits `total` work items into at most `shards` contiguous,
-/// near-equal ranges.
-fn shard_ranges(total: u64, shards: usize) -> Vec<(u64, u64)> {
-    let shards = (shards.max(1) as u64).min(total.max(1));
-    let base = total / shards;
-    let extra = total % shards;
-    let mut ranges = Vec::with_capacity(shards as usize);
-    let mut start = 0;
-    for s in 0..shards {
-        let len = base + u64::from(s < extra);
-        ranges.push((start, start + len));
-        start += len;
-    }
-    ranges
-}
-
-/// Turns a raw exhaustive-sweep divergence into a counterexample.
-fn exhaustive_counterexample(
-    left: &(impl WordFunction + ?Sized),
-    inputs: usize,
-    d: Divergence,
-) -> Equivalence {
-    Equivalence::NotEqual {
-        output: left.output_name(d.output),
-        pattern: PatternBlock::exhaustive(inputs, d.at).pattern(d.lane as usize),
-    }
-}
-
-/// Turns a raw sampling divergence into a counterexample.
-fn sampled_counterexample(
-    left: &(impl WordFunction + ?Sized),
-    rounds: &[Vec<u64>],
-    d: Divergence,
-) -> Equivalence {
-    Equivalence::NotEqual {
-        output: left.output_name(d.output),
-        pattern: rounds[d.at as usize]
-            .iter()
-            .map(|w| w >> d.lane & 1 != 0)
-            .collect(),
-    }
-}
-
 /// Compares two [`WordFunction`]s under a policy — the engine behind
 /// [`check_equivalence`] and `wavepipe::differential::check`.
 ///
@@ -735,71 +593,22 @@ fn sampled_counterexample(
 /// named after the **left** function's outputs and report the first
 /// divergence in canonical order (block, then output, then lane).
 ///
-/// Blocks are swept [`SweepConfig::from_env`]`().block_words` wide on
-/// the calling thread; [`check_word_functions_sharded`] is the
-/// multi-worker variant (its verdicts are bit-identical to this one's
-/// by construction).
+/// The sweep evaluates 8 blocks (512 patterns) per traversal and splits
+/// its blocks (or sampling rounds) into one contiguous range per
+/// available core, each scanned by its own function instances from the
+/// two factories. Ranges are merged in order, so the verdict —
+/// counterexample included — does not depend on the machine's core
+/// count. Give the factories cheap construction by sharing prepared
+/// state (e.g. [`Simulator::with_plan`] over one [`crate::SimPlan`]).
 ///
 /// # Errors
 ///
 /// Returns [`CheckError`] if the interfaces (input/output counts)
 /// differ.
-pub fn check_word_functions<L, R>(
-    left: &mut L,
-    right: &mut R,
-    policy: &EquivalencePolicy,
-) -> Result<Equivalence, CheckError>
-where
-    L: WordFunction + ?Sized,
-    R: WordFunction + ?Sized,
-{
-    interface_check(left, right)?;
-    let n = left.input_count();
-    let width = SweepConfig::from_env().block_words;
-
-    if policy.is_exhaustive_for(n) {
-        let blocks = PatternBlock::block_count(n);
-        return Ok(
-            match scan_exhaustive_range(left, right, n, 0, blocks, width) {
-                Some(d) => exhaustive_counterexample(left, n, d),
-                None => Equivalence::Equal,
-            },
-        );
-    }
-
-    let rounds = sampling_rounds(n, policy);
-    Ok(
-        match scan_sampled_range(left, right, &rounds, 0, policy.rounds, width) {
-            Some(d) => sampled_counterexample(left, &rounds, d),
-            None => Equivalence::ProbablyEqual {
-                rounds: policy.rounds,
-            },
-        },
-    )
-}
-
-/// Multi-worker [`check_word_functions`]: the sweep's blocks (or
-/// sampling rounds) are split into contiguous ranges, scanned in
-/// parallel by per-worker function instances from the two factories,
-/// and merged in range order — each range reports its first divergence
-/// in the canonical (block, output, lane) order, and the merged verdict
-/// is the first reporting range's, so the result (counterexample
-/// included) is **bit-identical for every `threads` / `block_words`
-/// combination**, including `threads: 1`.
-///
-/// The factories run once per worker; give them cheap construction by
-/// sharing prepared state (e.g. [`Simulator::with_plan`] over one
-/// [`crate::SimPlan`]).
-///
-/// # Errors
-///
-/// Returns [`CheckError`] if the interfaces (input/output counts)
-/// differ.
-pub fn check_word_functions_sharded<L, R, FL, FR>(
+pub fn check_word_functions<L, R, FL, FR>(
     make_left: FL,
     make_right: FR,
     policy: &EquivalencePolicy,
-    sweep: &SweepConfig,
 ) -> Result<Equivalence, CheckError>
 where
     L: WordFunction,
@@ -807,72 +616,68 @@ where
     FL: Fn() -> L + Sync,
     FR: Fn() -> R + Sync,
 {
-    let mut left = make_left();
-    let mut right = make_right();
-    interface_check(&left, &right)?;
-    let n = left.input_count();
-    let width = sweep.block_words.max(1);
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    sweep(make_left, make_right, policy, DEFAULT_BLOCK_WORDS, cores)
+}
 
-    if policy.is_exhaustive_for(n) {
-        let blocks = PatternBlock::block_count(n);
-        let first = if sweep.threads <= 1 {
-            scan_exhaustive_range(&mut left, &mut right, n, 0, blocks, width)
-        } else {
-            use rayon::prelude::*;
-            let ranges = shard_ranges(blocks, sweep.threads);
-            let found: Vec<Option<Divergence>> = ranges
-                .par_iter()
-                .map(|&(start, end)| {
-                    let mut l = make_left();
-                    let mut r = make_right();
-                    scan_exhaustive_range(&mut l, &mut r, n, start, end, width)
-                })
-                .collect();
-            found.into_iter().flatten().next()
-        };
-        return Ok(match first {
-            Some(d) => exhaustive_counterexample(&left, n, d),
-            None => Equivalence::Equal,
-        });
+/// [`check_word_functions`] at an explicit block width and shard count.
+fn sweep<L, R, FL, FR>(
+    make_left: FL,
+    make_right: FR,
+    policy: &EquivalencePolicy,
+    block_words: usize,
+    shards: usize,
+) -> Result<Equivalence, CheckError>
+where
+    L: WordFunction,
+    R: WordFunction,
+    FL: Fn() -> L + Sync,
+    FR: Fn() -> R + Sync,
+{
+    let left = make_left();
+    interface_check(&left, &make_right())?;
+    let inputs = left.input_count();
+
+    if policy.is_exhaustive_for(inputs) {
+        let blocks = PatternBlock::block_count(inputs);
+        let mask = |block| block_lane_mask(inputs, block);
+        let found = scan_shards(
+            &make_left,
+            &make_right,
+            blocks,
+            block_words,
+            shards,
+            exhaustive_word,
+            mask,
+        );
+        return Ok(found.map_or(Equivalence::Equal, |d| {
+            counterexample(&left, d, exhaustive_word)
+        }));
     }
 
-    let rounds = sampling_rounds(n, policy);
-    let first = if sweep.threads <= 1 {
-        scan_sampled_range(&mut left, &mut right, &rounds, 0, policy.rounds, width)
-    } else {
-        use rayon::prelude::*;
-        let ranges = shard_ranges(policy.rounds as u64, sweep.threads);
-        let rounds_ref = &rounds;
-        let found: Vec<Option<Divergence>> = ranges
-            .par_iter()
-            .map(|&(start, end)| {
-                let mut l = make_left();
-                let mut r = make_right();
-                scan_sampled_range(
-                    &mut l,
-                    &mut r,
-                    rounds_ref,
-                    start as usize,
-                    end as usize,
-                    width,
-                )
-            })
-            .collect();
-        found.into_iter().flatten().next()
-    };
-    Ok(match first {
-        Some(d) => sampled_counterexample(&left, &rounds, d),
-        None => Equivalence::ProbablyEqual {
+    let rounds = sampling_rounds(inputs, policy);
+    let word = |i: usize, round: u64| rounds[round as usize][i];
+    let found = scan_shards(
+        &make_left,
+        &make_right,
+        policy.rounds as u64,
+        block_words,
+        shards,
+        word,
+        |_| !0,
+    );
+    Ok(found.map_or(
+        Equivalence::ProbablyEqual {
             rounds: policy.rounds,
         },
-    })
+        |d| counterexample(&left, d, word),
+    ))
 }
 
 /// [`check_equivalence`] under an explicit [`EquivalencePolicy`].
 ///
-/// Runs on the sharded engine under [`SweepConfig::from_env`]: both
-/// graphs are flattened once and the per-worker simulators share the
-/// plans, so the parallel fan-out costs no re-preparation.
+/// Both graphs are flattened once and the per-shard simulators share
+/// the plans, so the parallel fan-out costs no re-preparation.
 ///
 /// # Errors
 ///
@@ -884,11 +689,10 @@ pub fn check_equivalence_with_policy(
 ) -> Result<Equivalence, CheckError> {
     let left_plan = std::sync::Arc::new(crate::simulate::SimPlan::build(left));
     let right_plan = std::sync::Arc::new(crate::simulate::SimPlan::build(right));
-    check_word_functions_sharded(
+    check_word_functions(
         || Simulator::with_plan(left, left_plan.clone()),
         || Simulator::with_plan(right, right_plan.clone()),
         policy,
-        &SweepConfig::from_env(),
     )
 }
 
@@ -898,7 +702,8 @@ pub fn check_equivalence_with_policy(
 /// [`DEFAULT_EXHAUSTIVE_INPUTS`] inputs are *proven* equivalent (or
 /// not) over all `2^n` patterns, swept bit-parallel in 64-wide blocks;
 /// larger graphs are checked with [`DEFAULT_RANDOM_ROUNDS`] rounds of
-/// seeded stratified simulation (64 patterns per round).
+/// stratified simulation (64 patterns per round) seeded with
+/// [`DEFAULT_SEED`].
 ///
 /// # Errors
 ///
@@ -928,21 +733,7 @@ pub fn check_equivalence_with_policy(
 /// # }
 /// ```
 pub fn check_equivalence(left: &Mig, right: &Mig) -> Result<Equivalence, CheckError> {
-    check_equivalence_seeded(left, right, DEFAULT_SEED)
-}
-
-/// [`check_equivalence`] with an explicit random seed for the fallback
-/// sampling path.
-///
-/// # Errors
-///
-/// Returns [`CheckError`] if the interfaces (input/output counts) differ.
-pub fn check_equivalence_seeded(
-    left: &Mig,
-    right: &Mig,
-    seed: u64,
-) -> Result<Equivalence, CheckError> {
-    check_equivalence_with_policy(left, right, &EquivalencePolicy::default().with_seed(seed))
+    check_equivalence_with_policy(left, right, &EquivalencePolicy::default())
 }
 
 #[cfg(test)]
@@ -1134,75 +925,66 @@ mod tests {
 
     #[test]
     fn sharded_verdicts_are_bit_identical_across_sweep_configs() {
-        // One exhaustive pair and one sampled pair, each with a real
-        // divergence, swept under every (threads, block_words)
-        // combination: the verdict — counterexample included — must be
-        // byte-for-byte the sequential engine's.
-        let broken_pair = |inputs: usize| {
-            let build = |broken: bool| {
-                let mut g = Mig::new();
-                let ins = g.add_inputs("x", inputs);
-                let conj = ins.iter().skip(1).fold(ins[0], |acc, &s| g.add_and(acc, s));
-                let p = g.add_xor_n(&ins);
-                let f = if broken { g.add_xor(p, conj) } else { p };
-                g.add_output("f", f);
-                g
+        // An exhaustive and a sampled width, each with a function that
+        // diverges on one pattern (the all-ones minterm) and one that
+        // diverges on every pattern, swept under every (block width,
+        // shard count) combination: the verdict — counterexample
+        // included — must be byte-for-byte the one-word, one-shard
+        // sweep's.
+        let build = |inputs: usize, broken: Option<bool>| {
+            let mut g = Mig::new();
+            let ins = g.add_inputs("x", inputs);
+            let conj = ins.iter().skip(1).fold(ins[0], |acc, &s| g.add_and(acc, s));
+            let p = g.add_xor_n(&ins);
+            let f = match broken {
+                None => p,
+                Some(false) => g.add_xor(p, conj),
+                Some(true) => !p,
             };
-            (build(false), build(true))
+            g.add_output("f", f);
+            g
         };
         for (inputs, policy) in [
             (10, EquivalencePolicy::exhaustive(10)),
             (30, EquivalencePolicy::sampled(16, 3)),
         ] {
-            let (good, bad) = broken_pair(inputs);
-            let reference = check_word_functions(
-                &mut Simulator::new(&good),
-                &mut Simulator::new(&bad),
-                &policy,
-            )
-            .unwrap();
-            assert!(!reference.holds());
-            for threads in [1usize, 2, 8] {
-                for block_words in [1usize, 3, 8] {
-                    let sweep = SweepConfig::single_word()
-                        .with_threads(threads)
-                        .with_block_words(block_words);
-                    let sharded = check_word_functions_sharded(
+            let good = build(inputs, None);
+            for everywhere in [false, true] {
+                let bad = build(inputs, Some(everywhere));
+                let pair = |block_words, shards| {
+                    sweep(
                         || Simulator::new(&good),
                         || Simulator::new(&bad),
                         &policy,
-                        &sweep,
+                        block_words,
+                        shards,
                     )
-                    .unwrap();
-                    assert_eq!(
-                        sharded, reference,
-                        "{inputs} inputs, {threads} threads, {block_words} words"
-                    );
+                    .unwrap()
+                };
+                let reference = pair(1, 1);
+                assert!(!reference.holds());
+                for shards in [1usize, 2, 8] {
+                    for block_words in [1usize, 3, 8] {
+                        assert_eq!(
+                            pair(block_words, shards),
+                            reference,
+                            "{inputs} inputs, {shards} shards, {block_words} words"
+                        );
+                    }
                 }
             }
             // And the equivalent pair stays equivalent under sharding.
             let twin = good.clone();
-            let clean = check_word_functions_sharded(
+            let clean = sweep(
                 || Simulator::new(&good),
                 || Simulator::new(&twin),
                 &policy,
-                &SweepConfig::default().with_threads(4),
+                DEFAULT_BLOCK_WORDS,
+                4,
             )
             .unwrap();
             assert!(clean.holds());
         }
-    }
-
-    #[test]
-    fn sweep_config_knobs_clamp_and_default() {
-        let d = SweepConfig::default();
-        assert_eq!(d.block_words, DEFAULT_BLOCK_WORDS);
-        assert!(d.threads >= 1);
-        assert_eq!(
-            SweepConfig::single_word().with_block_words(0).block_words,
-            1
-        );
-        assert_eq!(SweepConfig::single_word().with_threads(0).threads, 1);
     }
 
     #[test]

@@ -70,9 +70,8 @@ pub use analysis::{
 };
 pub use cone::{extract_cone, Cone, ConePartition};
 pub use equivalence::{
-    check_equivalence, check_equivalence_seeded, check_equivalence_with_policy,
-    check_word_functions, check_word_functions_sharded, CheckError, Equivalence, EquivalencePolicy,
-    PatternBlock, SweepConfig, WordFunction, DEFAULT_BLOCK_WORDS, DEFAULT_EXHAUSTIVE_INPUTS,
+    check_equivalence, check_equivalence_with_policy, check_word_functions, CheckError,
+    Equivalence, EquivalencePolicy, PatternBlock, WordFunction, DEFAULT_EXHAUSTIVE_INPUTS,
     DEFAULT_RANDOM_ROUNDS, DEFAULT_SEED,
 };
 pub use graph::{Mig, Output};

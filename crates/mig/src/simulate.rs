@@ -299,10 +299,6 @@ impl crate::equivalence::WordFunction for Simulator<'_> {
         self.graph.output_count()
     }
 
-    fn eval_block(&mut self, inputs: &[u64]) -> Vec<u64> {
-        self.eval_words(inputs)
-    }
-
     fn eval_wide(&mut self, inputs: &[u64], width: usize) -> Vec<u64> {
         Simulator::eval_wide(self, inputs, width)
     }

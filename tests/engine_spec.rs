@@ -92,6 +92,28 @@ fn spec_validation_rejects_bad_experiments() {
             .ends_with("fan-out limit 6 is outside the feasible range 2..=5 (§IV)"),
         "{err}"
     );
+    // A verify pass's fan-out bound is range-checked too, before any
+    // pass runs.
+    let err = engine
+        .run(
+            &FlowSpec::new("verify-k1")
+                .with_pipeline(
+                    PipelineSpec::map(false)
+                        .restrict_fanout(3)
+                        .insert_buffers(BufferStrategy::Asap)
+                        .verify(Some(1)),
+                )
+                .circuit("SASC"),
+        )
+        .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            FlowError::Pipeline(PipelineError::FanoutLimitOutOfRange(1))
+        ),
+        "{err:?}"
+    );
+    assert_eq!(engine.stats().passes_executed, 0);
     assert!(matches!(
         engine.run(
             &FlowSpec::new("ill")

@@ -1,17 +1,13 @@
-//! The sharded differential engine is an *execution* knob, not a
-//! *semantics* knob: for any block width and thread count,
-//! [`wavepipe::differential::check_with`] must return the bit-identical
-//! verdict — the same pattern budget on clean pairs, and the same
-//! canonical counterexample (first divergence in block-then-output-
-//! then-lane order) on broken ones.
+//! The differential sweep shards its blocks over the machine's cores,
+//! yet its verdict must not depend on the machine: the same pattern
+//! budget on clean pairs, and the same canonical counterexample (first
+//! divergence in block-then-output-then-lane order) on broken ones.
+//! These tests pin [`wavepipe::differential::check`] against
+//! independent oracles, so running them on one core (`taskset -c 0`)
+//! and on many checks both sharding shapes against the same answer.
 
-use wavepipe::differential::{self, Verdict};
-use wavepipe::{
-    insert_buffers, netlist_from_mig, restrict_fanout, EquivalencePolicy, Netlist, SweepConfig,
-};
-
-const THREADS: [usize; 3] = [1, 2, 8];
-const BLOCK_WORDS: [usize; 3] = [1, 3, 8];
+use wavepipe::differential::{self, Counterexample, Verdict};
+use wavepipe::{insert_buffers, netlist_from_mig, restrict_fanout, EquivalencePolicy, Netlist};
 
 /// A mid-sized circuit whose input count selects the policy's
 /// exhaustive arm (all `2^n` patterns).
@@ -42,111 +38,94 @@ fn corrupt(netlist: &mut Netlist, output: usize) {
     netlist.set_output_driver(output, broken);
 }
 
-fn sweep_grid() -> Vec<SweepConfig> {
-    let mut grid = Vec::new();
-    for &threads in &THREADS {
-        for &block_words in &BLOCK_WORDS {
-            grid.push(
-                SweepConfig::single_word()
-                    .with_block_words(block_words)
-                    .with_threads(threads),
-            );
+/// The exhaustive verdict computed one pattern at a time with the
+/// scalar evaluators, scanning in the canonical order: 64-pattern block
+/// ascending, then output, then lane.
+fn scalar_oracle(netlist: &Netlist, graph: &mig::Mig) -> Verdict {
+    let inputs = graph.input_count();
+    let total = 1u64 << inputs;
+    let simulator = mig::Simulator::new(graph);
+    for base in (0..total).step_by(64) {
+        let patterns: Vec<Vec<bool>> = (base..total.min(base + 64))
+            .map(|p| (0..inputs).map(|i| p >> i & 1 != 0).collect())
+            .collect();
+        let actual: Vec<Vec<bool>> = patterns.iter().map(|p| netlist.eval(p)).collect();
+        let expected: Vec<Vec<bool>> = patterns.iter().map(|p| simulator.eval(p)).collect();
+        for output in 0..graph.output_count() {
+            for lane in 0..patterns.len() {
+                if actual[lane][output] != expected[lane][output] {
+                    return Verdict::Diverged(Counterexample {
+                        pattern: patterns[lane].clone(),
+                        output,
+                        output_name: graph.outputs()[output].name.clone(),
+                        expected: expected[lane][output],
+                        actual: actual[lane][output],
+                        pass: None,
+                    });
+                }
+            }
         }
     }
-    grid
+    Verdict::Equivalent {
+        patterns: total,
+        exhaustive: true,
+    }
 }
 
 #[test]
-fn exhaustive_verdicts_are_bit_identical_across_the_grid() {
+fn exhaustive_verdicts_match_the_scalar_oracle() {
     let (graph, clean) = small_pair();
     let policy = EquivalencePolicy::default();
-    let reference = differential::check_with(&clean, &graph, &policy, &SweepConfig::single_word())
-        .expect("interfaces match");
-    assert!(matches!(
-        reference,
+    let verdict = differential::check(&clean, &graph, &policy).expect("interfaces match");
+    assert_eq!(
+        verdict,
         Verdict::Equivalent {
-            exhaustive: true,
-            ..
+            patterns: 1024,
+            exhaustive: true
         }
-    ));
+    );
+    assert_eq!(verdict, scalar_oracle(&clean, &graph));
 
-    let (_, mut broken) = small_pair();
-    corrupt(&mut broken, 3);
-    let broken_reference =
-        differential::check_with(&broken, &graph, &policy, &SweepConfig::single_word())
-            .expect("interfaces match");
-    let Verdict::Diverged(cex) = &broken_reference else {
-        panic!("corrupted netlist must diverge");
-    };
-    assert_eq!(cex.output, 3, "corruption localizes to the flipped output");
-    // The counterexample replays on both sides.
-    assert_eq!(broken.eval(&cex.pattern)[cex.output], cex.actual);
-
-    for sweep in sweep_grid() {
+    for output in [0, 3] {
+        let (_, mut broken) = small_pair();
+        corrupt(&mut broken, output);
+        let verdict = differential::check(&broken, &graph, &policy).expect("interfaces match");
+        let Verdict::Diverged(cex) = &verdict else {
+            panic!("corrupting output {output} must diverge");
+        };
         assert_eq!(
-            differential::check_with(&clean, &graph, &policy, &sweep).expect("interfaces match"),
-            reference,
-            "clean verdict drifted at {sweep:?}"
+            cex.output, output,
+            "corruption localizes to the flipped output"
         );
-        assert_eq!(
-            differential::check_with(&broken, &graph, &policy, &sweep).expect("interfaces match"),
-            broken_reference,
-            "counterexample drifted at {sweep:?}"
-        );
+        assert_eq!(verdict, scalar_oracle(&broken, &graph), "output {output}");
     }
 }
 
 #[test]
-fn sampled_verdicts_are_bit_identical_across_the_grid() {
+fn sampled_verdicts_keep_the_budget_and_replay() {
     let (graph, clean) = sampled_pair();
     // 30 inputs: always the sampled arm under the default ceiling.
     let policy = EquivalencePolicy::sampled(17, 0xFEED);
-    let reference = differential::check_with(&clean, &graph, &policy, &SweepConfig::single_word())
-        .expect("interfaces match");
-    assert!(matches!(
-        reference,
+    assert_eq!(
+        differential::check(&clean, &graph, &policy).expect("interfaces match"),
         Verdict::Equivalent {
-            exhaustive: false,
-            ..
+            patterns: 17 * 64,
+            exhaustive: false
         }
-    ));
+    );
 
     let (_, mut broken) = sampled_pair();
     corrupt(&mut broken, 5);
-    let broken_reference =
-        differential::check_with(&broken, &graph, &policy, &SweepConfig::single_word())
-            .expect("interfaces match");
-    let Verdict::Diverged(cex) = &broken_reference else {
+    let verdict = differential::check(&broken, &graph, &policy).expect("interfaces match");
+    let Verdict::Diverged(cex) = &verdict else {
         panic!("corrupted netlist must diverge under sampling");
     };
     assert_eq!(cex.output, 5);
-
-    for sweep in sweep_grid() {
-        assert_eq!(
-            differential::check_with(&clean, &graph, &policy, &sweep).expect("interfaces match"),
-            reference,
-            "clean verdict drifted at {sweep:?}"
-        );
-        assert_eq!(
-            differential::check_with(&broken, &graph, &policy, &sweep).expect("interfaces match"),
-            broken_reference,
-            "counterexample drifted at {sweep:?}"
-        );
-    }
-}
-
-#[test]
-fn the_environment_driven_path_matches_the_explicit_grid() {
-    // `differential::check` resolves its SweepConfig from the
-    // environment; whatever it resolves to, the verdict must equal the
-    // single-word reference.
-    let (graph, mut broken) = small_pair();
-    corrupt(&mut broken, 0);
-    let policy = EquivalencePolicy::default();
-    let reference = differential::check_with(&broken, &graph, &policy, &SweepConfig::single_word())
-        .expect("interfaces match");
+    // The counterexample replays on both sides.
+    assert_eq!(broken.eval(&cex.pattern)[cex.output], cex.actual);
     assert_eq!(
-        differential::check(&broken, &graph, &policy).expect("interfaces match"),
-        reference
+        mig::Simulator::new(&graph).eval(&cex.pattern)[cex.output],
+        cex.expected
     );
+    assert_ne!(cex.expected, cex.actual);
 }

@@ -88,7 +88,7 @@ proptest! {
         for round in 0..3 {
             let words: Vec<u64> = (0..inputs).map(|_| rng.gen()).collect();
             prop_assert_eq!(
-                function.eval_block(&words),
+                function.eval_wide(&words, 1),
                 netlist.eval_words(&words),
                 "round {}", round
             );

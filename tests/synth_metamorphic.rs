@@ -344,7 +344,7 @@ fn wave_streaming_matches_the_source_mig_on_subsample() {
         // 8 waves × 64 lanes = 512 streamed operations per circuit.
         let waves = random_word_waves(source.input_count(), 8, 0x3A3E ^ ci as u64);
 
-        let streamed = WaveSimulator::new(&run.result.pipelined).run_words(&waves);
+        let streamed = WaveSimulator::new(&run.result.pipelined).run_wide(&waves, 1);
         let sim = mig::Simulator::new(&source);
         for (w, wave) in waves.iter().enumerate() {
             assert_eq!(

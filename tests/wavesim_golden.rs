@@ -108,7 +108,7 @@ fn balanced_flow_netlist_streams_64_random_lanes_clean() {
     assert!(sim.check_against_golden_words(&waves).is_empty());
 
     // And per-wave word outputs equal the bit-parallel golden model.
-    let run = sim.run_words(&waves);
+    let run = sim.run_wide(&waves, 1);
     for (w, wave) in waves.iter().enumerate() {
         assert_eq!(run.outputs[w], n.eval_words(wave));
     }
