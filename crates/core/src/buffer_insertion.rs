@@ -11,7 +11,7 @@
 
 use crate::balance::BalanceError;
 use crate::component::{CompId, ComponentKind};
-use crate::netlist::Netlist;
+use crate::netlist::{FanoutEdges, Netlist};
 use crate::pipeline::{BufferStrategy, FlowContext, Pass, PassError, PassKind};
 use crate::retiming::LevelSchedule;
 use crate::weighted::{DelayWeights, WeightedInsertion};
@@ -60,7 +60,9 @@ pub fn insert_buffers(netlist: &mut Netlist) -> BufferInsertion {
 /// `weights.buf`, so that each non-constant fan-in of `v` arrives at
 /// `arrival(v) − weight(v)` and each non-constant output at the latest
 /// output arrival (constants carry no wave). `fanout` is the
-/// [`Netlist::fanout_edges`] snapshot.
+/// [`Netlist::fanout_edges`] snapshot of the netlist as passed in; its
+/// per-driver consumer-index order breaks ties between uses that need
+/// the same arrival.
 ///
 /// # Errors
 ///
@@ -75,11 +77,11 @@ pub fn balance(
     netlist: &mut Netlist,
     weights: &DelayWeights,
     arrival: &[u32],
-    fanout: &[Vec<(CompId, usize)>],
+    fanout: &FanoutEdges,
 ) -> Result<BufferInsertion, BalanceError> {
     #[derive(Clone, Copy)]
     enum Use {
-        Gate { consumer: CompId, slot: usize },
+        Gate { consumer: CompId, slot: u32 },
         Output { position: usize },
     }
 
@@ -167,7 +169,7 @@ pub fn balance(
             }
             match u {
                 Use::Gate { consumer, slot } => {
-                    netlist.component_mut(consumer).fanins_mut()[slot] = chain_head;
+                    netlist.component_mut(consumer).fanins_mut()[slot as usize] = chain_head;
                 }
                 Use::Output { position } => netlist.set_output_driver(position, chain_head),
             }
@@ -198,6 +200,26 @@ fn unwind(netlist: &mut Netlist, original_len: usize, err: BalanceError) -> Bala
     }
     netlist.truncate_buffers(original_len);
     err
+}
+
+/// The unit-weight levels of a netlist that [`balance`] grew from
+/// `original_len` components against the feasible unit-weight
+/// `arrival`: each original component keeps its arrival and each
+/// appended buffer sits one level above its fan-in, an earlier
+/// component. A candidate only — the cache installs it after checking
+/// it, since an arrival that is not ASAP (a retimed component reading
+/// only constants) need not survive as a level.
+fn balanced_levels(netlist: &Netlist, arrival: &[u32], original_len: usize) -> Option<Vec<u32>> {
+    let mut levels = Vec::with_capacity(netlist.len());
+    levels.extend_from_slice(arrival.get(..original_len)?);
+    for idx in original_len..netlist.len() {
+        let fanin = netlist
+            .component(CompId::from_index(idx))
+            .fanins()
+            .first()?;
+        levels.push(levels.get(fanin.index())? + 1);
+    }
+    Some(levels)
 }
 
 impl LevelSchedule {
@@ -254,7 +276,13 @@ impl Pass for InsertBuffersPass {
     fn run(&self, ctx: &mut FlowContext<'_>) -> Result<(), PassError> {
         let (weights, arrival) = ctx.schedule(self.0)?;
         let fanout = ctx.fanout_edges();
+        let original_len = ctx.netlist().len();
         let stats = balance(ctx.netlist_mut(), &weights, &arrival, &fanout)?;
+        if weights == DelayWeights::UNIT {
+            if let Some(levels) = balanced_levels(ctx.netlist(), &arrival, original_len) {
+                ctx.hand_forward_levels(levels);
+            }
+        }
         if self.0.is_unit_delay(&weights) {
             ctx.buffers = Some(stats);
         } else {

@@ -21,7 +21,8 @@
 //! paper prescribes.
 
 use crate::component::{CompId, ComponentKind};
-use crate::netlist::Netlist;
+use crate::netlist::{FanoutEdges, Netlist};
+use crate::weighted::DelayWeights;
 
 /// Statistics returned by [`restrict_fanout`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -86,25 +87,42 @@ impl FanoutRestriction {
 /// assert!(n.max_fanout() <= 3);
 /// ```
 pub fn restrict_fanout(netlist: &mut Netlist, limit: u32) -> FanoutRestriction {
-    let original_levels = netlist.levels();
+    restrict_with_levels(netlist, limit).0
+}
+
+/// [`restrict_fanout`], also returning the restricted netlist's ASAP
+/// levels. The pre-restriction topological order, with each FOG chain
+/// spliced in after its driver, orders the restricted netlist too, so
+/// the levels after cost one scan instead of a fresh DFS.
+fn restrict_with_levels(netlist: &mut Netlist, limit: u32) -> (FanoutRestriction, Vec<u32>) {
+    let order = netlist.topo_order();
+    let original_levels = netlist.levels_from_order(&order, &DelayWeights::UNIT);
     let fanout = netlist.fanout_edges();
     let depth_before = netlist.depth_from_levels(&original_levels);
+    let original_len = netlist.len();
     let mut stats =
         restrict_fanout_prepared(netlist, limit, &original_levels, &fanout, depth_before);
-    stats.depth_after = netlist.depth();
-    stats
+    let levels = match netlist.splice_chains(&order, original_len) {
+        Some(order) => netlist.levels_from_order(&order, &DelayWeights::UNIT),
+        None => netlist.levels(),
+    };
+    stats.depth_after = netlist.depth_from_levels(&levels);
+    (stats, levels)
 }
 
 /// [`restrict_fanout`] against already-computed structural views (the
-/// pre-mutation ASAP levels and fan-out edge lists, plus the depth they
-/// imply), so pipeline passes holding a fresh
+/// pre-mutation ASAP levels and [`FanoutEdges`] table, plus the depth
+/// they imply), so pipeline passes holding a fresh
 /// [`StructuralCaches`](crate::netlist::StructuralCaches) snapshot
-/// don't recompute them from scratch.
+/// don't recompute them from scratch. Consumers of one driver sharing
+/// an original level keep the table's consumer-index order on the FOG
+/// chain.
 ///
 /// The returned statistics leave `depth_after` at zero — the netlist
 /// has just been mutated, so the caller decides where the fresh depth
-/// comes from (the pipeline pass reads it back through the cache, which
-/// also primes it for the instrumentation layer).
+/// comes from (the pipeline pass hands the spliced topological order
+/// forward and reads the depth back through the cache, which also
+/// primes it for the instrumentation layer).
 ///
 /// # Panics
 ///
@@ -114,7 +132,7 @@ pub fn restrict_fanout_prepared(
     netlist: &mut Netlist,
     limit: u32,
     original_levels: &[u32],
-    fanout: &[Vec<(CompId, usize)>],
+    fanout: &FanoutEdges,
     depth_before: u32,
 ) -> FanoutRestriction {
     assert!(limit >= 2, "fan-out limit must be at least 2");
@@ -143,7 +161,7 @@ pub fn restrict_fanout_prepared(
         }
 
         enum Use {
-            Gate { consumer: CompId, slot: usize },
+            Gate { consumer: CompId, slot: u32 },
             Output { position: usize },
         }
         // Sort key: original consumer level (outputs last — they have no
@@ -183,7 +201,7 @@ pub fn restrict_fanout_prepared(
             }
             match u {
                 Use::Gate { consumer, slot } => {
-                    netlist.component_mut(consumer).fanins_mut()[slot] = driver;
+                    netlist.component_mut(consumer).fanins_mut()[slot as usize] = driver;
                     // Delayed iff the FOG tap arrives later than the
                     // consumer's critical fan-in did originally.
                     if driver_extra_levels > 0
@@ -227,8 +245,10 @@ impl crate::pipeline::Pass for FanoutRestrictionPass {
         ctx: &mut crate::pipeline::FlowContext<'_>,
     ) -> Result<(), crate::pipeline::PassError> {
         let levels = ctx.levels();
+        let order = ctx.arrival_order();
         let fanout = ctx.fanout_edges();
         let depth_before = ctx.depth();
+        let original_len = ctx.netlist().len();
         let mut stats = restrict_fanout_prepared(
             ctx.netlist_mut(),
             self.limit,
@@ -236,6 +256,9 @@ impl crate::pipeline::Pass for FanoutRestrictionPass {
             &fanout,
             depth_before,
         );
+        if let Some(order) = ctx.netlist().splice_chains(&order, original_len) {
+            ctx.hand_forward_order(order);
+        }
         stats.depth_after = ctx.depth();
         ctx.fanout = Some(stats);
         Ok(())
@@ -310,22 +333,22 @@ impl crate::pipeline::Pass for CostAwareFanoutPass {
             )));
         }
 
-        let mut best: Option<(f64, Netlist, FanoutRestriction)> = None;
+        let mut best: Option<(f64, Netlist, FanoutRestriction, Vec<u32>)> = None;
         for &k in &self.candidates {
             let mut trial = ctx.netlist().clone();
-            let stats = restrict_fanout(&mut trial, k);
-            let projected_buffers =
-                crate::retiming::LevelSchedule::buffer_cost(&trial, &trial.levels());
+            let (stats, levels) = restrict_with_levels(&mut trial, k);
+            let projected_buffers = crate::retiming::LevelSchedule::buffer_cost(&trial, &levels);
             let mut counts = trial.counts();
             counts.buf += projected_buffers as usize;
             let priced = table.price(&counts, trial.outputs().len(), stats.depth_after);
-            if best.as_ref().is_none_or(|(cost, _, _)| priced.area < *cost) {
-                best = Some((priced.area, trial, stats));
+            if best.as_ref().is_none_or(|(cost, ..)| priced.area < *cost) {
+                best = Some((priced.area, trial, stats, levels));
             }
         }
 
-        let (_, netlist, stats) = best.expect("at least one candidate was priced");
+        let (_, netlist, stats, levels) = best.expect("at least one candidate was priced");
         *ctx.netlist_mut() = netlist;
+        ctx.hand_forward_levels(levels);
         ctx.fanout = Some(stats);
         Ok(())
     }

@@ -391,6 +391,18 @@ impl Netlist {
     /// cycle.
     pub fn try_topo_order(&self) -> Result<Vec<CompId>, NetlistError> {
         let n = self.components.len();
+        // An arena whose fan-ins all point backwards (every freshly
+        // mapped netlist) is the order the DFS below would emit — each
+        // root's fan-ins are already done when it is reached — so one
+        // scan replaces the traversal.
+        let backwards = self
+            .components
+            .iter()
+            .enumerate()
+            .all(|(i, c)| c.fanins().iter().all(|f| f.index() < i));
+        if backwards {
+            return Ok(self.ids().collect());
+        }
         let mut state = vec![0u8; n]; // 0 new, 1 on stack, 2 done
         let mut order = Vec::with_capacity(n);
         let mut stack: Vec<(CompId, usize)> = Vec::new();
@@ -472,6 +484,102 @@ impl Netlist {
         arrival
     }
 
+    /// Whether `levels` are exactly [`Netlist::levels`], by one arena
+    /// scan: one level per component, and each equal to 1 + its highest
+    /// non-constant fan-in's (1 when every fan-in is constant, 0 with no
+    /// fan-ins). That puts every non-constant fan-in strictly lower, so
+    /// it also proves the netlist acyclic (a constant has no fan-ins and
+    /// so lies on no cycle) — the check a handed-forward level view
+    /// must pass.
+    pub(crate) fn levels_hold(&self, levels: &[u32]) -> bool {
+        let level_of = |f: &CompId| match self.components.get(f.index()) {
+            Some(Component::Const { .. }) => Some(0),
+            Some(_) => levels.get(f.index()).copied(),
+            None => None,
+        };
+        levels.len() == self.components.len()
+            && self.components.iter().zip(levels).all(|(c, &level)| {
+                let mut highest = Some(0u32);
+                for f in c.fanins() {
+                    highest = highest.zip(level_of(f)).map(|(h, l)| h.max(l));
+                }
+                let expected = if c.fanins().is_empty() {
+                    Some(0)
+                } else {
+                    highest.map(|h| h + 1)
+                };
+                expected == Some(level)
+            })
+    }
+
+    /// Whether `order` is a topological order of this netlist, by one
+    /// scan: every component exactly once, every fan-in placed before
+    /// its consumer — the check a handed-forward order must pass.
+    pub(crate) fn is_topological(&self, order: &[CompId]) -> bool {
+        if order.len() != self.components.len() {
+            return false;
+        }
+        let mut placed = vec![false; order.len()];
+        for &id in order {
+            let Some(comp) = self.components.get(id.index()) else {
+                return false;
+            };
+            let ready = comp
+                .fanins()
+                .iter()
+                .all(|f| placed.get(f.index()).copied().unwrap_or(false));
+            if placed[id.index()] || !ready {
+                return false;
+            }
+            placed[id.index()] = true;
+        }
+        true
+    }
+
+    /// Extends `order`, a topological order of the first `original_len`
+    /// components, over the single-fan-in chains appended since (fan-out
+    /// restriction's FOG chains): each chain goes right after the
+    /// original component it hangs off, in arena order. `None` unless
+    /// every appended component reads an original or an earlier appended
+    /// one, and the chains were appended in root order — the shape
+    /// [`crate::restrict_fanout_prepared`] leaves.
+    pub(crate) fn splice_chains(
+        &self,
+        order: &[CompId],
+        original_len: usize,
+    ) -> Option<Vec<CompId>> {
+        let appended = self.components.get(original_len..)?;
+        let mut roots: Vec<u32> = Vec::with_capacity(appended.len());
+        for (k, c) in appended.iter().enumerate() {
+            let f = c.fanins().first()?.index();
+            let root = match f.checked_sub(original_len) {
+                None => f as u32,
+                Some(j) if j < k => roots[j],
+                Some(_) => return None,
+            };
+            if roots.last().is_some_and(|&last| last > root) {
+                return None;
+            }
+            roots.push(root);
+        }
+        // Chains are contiguous and in root order, so `start[r]..start[r
+        // + 1]` is root r's run of appended components.
+        let mut start = vec![0u32; original_len + 1];
+        for &r in &roots {
+            start[r as usize + 1] += 1;
+        }
+        for i in 0..original_len {
+            start[i + 1] += start[i];
+        }
+        let mut spliced = Vec::with_capacity(self.components.len());
+        for &id in order {
+            spliced.push(id);
+            let run = start.get(id.index()..id.index() + 2)?;
+            spliced.extend((run[0]..run[1]).map(|k| CompId::from_index(original_len + k as usize)));
+        }
+        Some(spliced)
+    }
+
     /// Netlist depth: maximum level over non-constant primary outputs.
     pub fn depth(&self) -> u32 {
         self.depth_from_levels(&self.levels())
@@ -487,18 +595,13 @@ impl Netlist {
             .unwrap_or(0)
     }
 
-    /// Fan-out edge lists: for every component, the list of
-    /// `(consumer, fanin_slot)` pairs reading it. Primary-output uses are
-    /// returned separately as `(output_position, driver)` via
+    /// Fan-out edges: for every component, the `(consumer, fanin_slot)`
+    /// pairs reading it, in consumer-index then slot order, as one flat
+    /// [`FanoutEdges`] table. Primary-output uses are returned
+    /// separately as `(output_position, driver)` via
     /// [`Netlist::outputs`]; they are *not* included here.
-    pub fn fanout_edges(&self) -> Vec<Vec<(CompId, usize)>> {
-        let mut edges = vec![Vec::new(); self.components.len()];
-        for id in self.ids() {
-            for (slot, f) in self.components[id.index()].fanins().iter().enumerate() {
-                edges[f.index()].push((id, slot));
-            }
-        }
-        edges
+    pub fn fanout_edges(&self) -> FanoutEdges {
+        FanoutEdges::new(&self.components)
     }
 
     /// Fan-out counts including primary-output uses (what the fan-out
@@ -919,8 +1022,8 @@ impl Netlist {
 }
 
 /// Lazily-computed, shared structural views of one netlist: topological
-/// order, ASAP levels, fan-out edge lists and fan-out counts, plus the
-/// depth derived from them.
+/// order, ASAP levels, fan-out edges and fan-out counts, plus the depth
+/// derived from them.
 ///
 /// The flow's passes and the pipeline's instrumentation all need these
 /// views, and before this cache each consumer recomputed them from
@@ -931,9 +1034,22 @@ impl Netlist {
 /// snapshot while it mutates the netlist (the snapshot then describes
 /// the pre-mutation structure, which is exactly what the paper's two
 /// algorithms want).
+///
+/// A built-in transform pass that already knows the structure it just
+/// built hands a view forward instead of leaving the next reader to
+/// rebuild it (see [`FlowContext::netlist_mut`](crate::FlowContext::netlist_mut)):
+/// fan-out restriction a topological order, buffer insertion the
+/// levels. A handed-forward view is accepted only after one linear
+/// check against the mutated netlist and is dropped otherwise, so the
+/// next reader falls back to the from-scratch computation. A
+/// handed-forward order only ever feeds level and arrival computation,
+/// which every topological order gives alike;
+/// [`StructuralCaches::topo_order`] stays exactly
+/// [`Netlist::topo_order`].
 #[derive(Clone, Debug, Default)]
 pub struct StructuralCaches {
     topo: Option<Arc<Vec<CompId>>>,
+    handed_order: Option<Arc<Vec<CompId>>>,
     levels: Option<Arc<Vec<u32>>>,
     fanout_edges: Option<Arc<FanoutEdges>>,
     fanout_counts: Option<Arc<Vec<u32>>>,
@@ -941,10 +1057,85 @@ pub struct StructuralCaches {
     eval_arena: Option<Arc<EvalArena>>,
 }
 
-/// Per-component fan-out edge lists, as produced by
-/// [`Netlist::fanout_edges`]: for every component, the `(consumer,
-/// fanin_slot)` pairs reading it.
-pub type FanoutEdges = Vec<Vec<(CompId, usize)>>;
+/// Per-component fan-out edges in compressed sparse row form, as
+/// produced by [`Netlist::fanout_edges`]: `edges[i]` is the slice of
+/// `(consumer, fanin_slot)` pairs reading component `i`, in
+/// consumer-index then slot order.
+///
+/// Two flat vectors replace one heap list per component: `offsets`
+/// (one entry per component plus one) delimits each driver's run in
+/// `pairs`. The table is built by counting each driver's readers,
+/// prefix-summing the counts and filling the pairs in one arena scan.
+///
+/// # Examples
+///
+/// ```
+/// use wavepipe::Netlist;
+///
+/// let mut n = Netlist::new("fo");
+/// let a = n.add_input("a");
+/// let inv = n.add_inv(a);
+/// let g = n.add_maj([a, inv, a]);
+/// n.add_output("f", g);
+///
+/// let edges = n.fanout_edges();
+/// assert_eq!(edges.len(), n.len());
+/// assert_eq!(edges[a.index()], [(inv, 0), (g, 0), (g, 2)]);
+/// assert!(edges[g.index()].is_empty(), "output uses are not edges");
+/// ```
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct FanoutEdges {
+    offsets: Vec<u32>,
+    pairs: Vec<(CompId, u32)>,
+}
+
+impl FanoutEdges {
+    fn new(components: &[Component]) -> FanoutEdges {
+        let n = components.len();
+        let mut offsets = vec![0u32; n + 1];
+        for c in components {
+            for f in c.fanins() {
+                offsets[f.index() + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        // Fill with `offsets[f]` as f's write cursor; each cursor ends
+        // at the start of the next driver's run, so one shift restores
+        // the starts.
+        let mut pairs = vec![(CompId(0), 0); offsets[n] as usize];
+        for (id, c) in components.iter().enumerate() {
+            for (slot, f) in c.fanins().iter().enumerate() {
+                let at = &mut offsets[f.index()];
+                pairs[*at as usize] = (CompId::from_index(id), slot as u32);
+                *at += 1;
+            }
+        }
+        offsets.copy_within(0..n, 1);
+        offsets[0] = 0;
+        FanoutEdges { offsets, pairs }
+    }
+
+    /// Number of components covered (drivers, not edges).
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// `true` if the table covers no component.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl std::ops::Index<usize> for FanoutEdges {
+    type Output = [(CompId, u32)];
+
+    /// The `(consumer, fanin_slot)` pairs reading component `driver`.
+    fn index(&self, driver: usize) -> &[(CompId, u32)] {
+        &self.pairs[self.offsets[driver] as usize..self.offsets[driver + 1] as usize]
+    }
+}
 
 impl StructuralCaches {
     /// Drops every cached view (call after any netlist mutation).
@@ -972,7 +1163,61 @@ impl StructuralCaches {
         Ok(self.topo.as_ref().expect("just filled").clone())
     }
 
-    /// Cached [`Netlist::levels`] (reuses the cached topological order).
+    /// A topological order to compute levels or arrivals against: the
+    /// one a pass handed forward, else the cached
+    /// [`Netlist::try_topo_order`].
+    pub(crate) fn try_arrival_order(
+        &mut self,
+        netlist: &Netlist,
+    ) -> Result<Arc<Vec<CompId>>, NetlistError> {
+        match &self.handed_order {
+            Some(order) => Ok(order.clone()),
+            None => self.try_topo_order(netlist),
+        }
+    }
+
+    /// Panicking [`StructuralCaches::try_arrival_order`].
+    pub(crate) fn arrival_order(&mut self, netlist: &Netlist) -> Arc<Vec<CompId>> {
+        self.try_arrival_order(netlist)
+            .unwrap_or_else(|e| panic!("combinational cycle: {e}"))
+    }
+
+    /// Caches `order` as `netlist`'s arrival order if one scan shows it
+    /// is topological (every component once, every fan-in earlier);
+    /// otherwise drops it, and returns whether it was kept. Call on
+    /// freshly invalidated caches, right after the mutation `order`
+    /// describes.
+    pub(crate) fn hand_forward_order(&mut self, netlist: &Netlist, order: Vec<CompId>) -> bool {
+        let holds = netlist.is_topological(&order);
+        if holds {
+            self.handed_order = Some(Arc::new(order));
+        }
+        holds
+    }
+
+    /// Caches `levels` as `netlist`'s ASAP levels if one scan shows they
+    /// are (see [`Netlist::levels_hold`]); otherwise drops them, and
+    /// returns whether they were kept. Call on freshly invalidated
+    /// caches, right after the mutation `levels` describe.
+    pub(crate) fn hand_forward_levels(&mut self, netlist: &Netlist, levels: Vec<u32>) -> bool {
+        let holds = netlist.levels_hold(&levels);
+        if holds {
+            self.levels = Some(Arc::new(levels));
+        }
+        holds
+    }
+
+    /// The handed-forward order and the levels currently cached, for
+    /// tests that check what a pass left behind.
+    #[cfg(test)]
+    pub(crate) fn handed_views(&self) -> (Option<&[CompId]>, Option<&[u32]>) {
+        (
+            self.handed_order.as_deref().map(Vec::as_slice),
+            self.levels.as_deref().map(Vec::as_slice),
+        )
+    }
+
+    /// Cached [`Netlist::levels`] (computed against the arrival order).
     pub fn levels(&mut self, netlist: &Netlist) -> Arc<Vec<u32>> {
         self.try_levels(netlist)
             .unwrap_or_else(|e| panic!("combinational cycle: {e}"))
@@ -985,7 +1230,7 @@ impl StructuralCaches {
     /// [`NetlistError::CombinationalCycle`].
     pub fn try_levels(&mut self, netlist: &Netlist) -> Result<Arc<Vec<u32>>, NetlistError> {
         if self.levels.is_none() {
-            let order = self.try_topo_order(netlist)?;
+            let order = self.try_arrival_order(netlist)?;
             self.levels = Some(Arc::new(
                 netlist.levels_from_order(&order, &DelayWeights::UNIT),
             ));
@@ -1269,6 +1514,96 @@ mod tests {
         caches.invalidate();
         assert_eq!(caches.depth(&n), 2);
         assert_eq!(*caches.levels(&n), n.levels());
+    }
+
+    #[test]
+    fn flat_fanout_edges_keep_consumer_then_slot_order() {
+        let mut n = and_netlist();
+        let a = n.inputs()[0];
+        let g = n.outputs()[0].driver;
+        let g2 = n.add_maj([g, a, a]);
+        // A forward edge: an earlier component reads a later one.
+        let buf = n.add_buf(a);
+        n.component_mut(g).fanins_mut()[1] = buf;
+        let edges = n.fanout_edges();
+        assert_eq!(edges.len(), n.len());
+        assert_eq!(edges[a.index()], [(g, 0), (g2, 1), (g2, 2), (buf, 0)]);
+        assert_eq!(edges[buf.index()], [(g, 1)]);
+        assert!(edges[g2.index()].is_empty());
+        assert!(Netlist::new("empty").fanout_edges().is_empty());
+    }
+
+    #[test]
+    fn handed_forward_views_are_checked_before_they_are_cached() {
+        let mut n = and_netlist();
+        let g = n.outputs()[0].driver;
+        let buf = n.add_buf(g);
+        n.set_output_driver(0, buf);
+        let (levels, order) = (n.levels(), n.topo_order());
+
+        // Corrupted level vectors: one level off, a constant-only
+        // shortcut, a wrong length. Each falls back, caches nothing,
+        // and the next reader recomputes from scratch.
+        let mut off = levels.clone();
+        off[buf.index()] += 1;
+        let mut zero = levels.clone();
+        zero[g.index()] = 0;
+        for bad in [off, zero, levels[..2].to_vec()] {
+            let mut caches = StructuralCaches::default();
+            assert!(!caches.hand_forward_levels(&n, bad));
+            assert_eq!(caches.handed_views(), (None, None));
+            assert_eq!(*caches.levels(&n), levels);
+            assert_eq!(caches.depth(&n), 2);
+        }
+        let mut caches = StructuralCaches::default();
+        assert!(caches.hand_forward_levels(&n, levels.clone()));
+        assert_eq!(caches.handed_views().1, Some(&levels[..]));
+
+        // Orders: a consumer before its fan-in, a repeat, a short one.
+        let mut swapped = order.clone();
+        swapped.swap(order.len() - 1, order.len() - 2);
+        let mut repeated = order.clone();
+        repeated[1] = repeated[0];
+        for bad in [swapped, repeated, order[1..].to_vec()] {
+            let mut caches = StructuralCaches::default();
+            assert!(!caches.hand_forward_order(&n, bad));
+            assert_eq!(caches.handed_views(), (None, None));
+            assert_eq!(*caches.levels(&n), levels);
+        }
+        assert!(caches.hand_forward_order(&n, order.clone()));
+
+        // No level vector passes on a cycle, which still surfaces.
+        let mut cyc = Netlist::new("cyc");
+        let a = cyc.add_input("a");
+        let b1 = cyc.add_buf(a);
+        let b2 = cyc.add_buf(b1);
+        cyc.component_mut(b1).fanins_mut()[0] = b2;
+        cyc.add_output("f", b2);
+        let mut caches = StructuralCaches::default();
+        for bad in [vec![0, 1, 2], vec![0, 2, 1], vec![0, 0, 0]] {
+            assert!(!caches.hand_forward_levels(&cyc, bad));
+        }
+        assert!(!caches.hand_forward_order(&cyc, cyc.ids().collect()));
+        assert!(matches!(
+            caches.try_depth(&cyc),
+            Err(NetlistError::CombinationalCycle(_))
+        ));
+    }
+
+    #[test]
+    fn backward_arenas_take_the_identity_order_the_dfs_would_give() {
+        let n = and_netlist();
+        assert_eq!(n.topo_order(), n.ids().collect::<Vec<_>>());
+        // One forward edge sends it down the DFS, which still agrees
+        // with an order that places fan-ins first.
+        let mut fwd = and_netlist();
+        let g = fwd.outputs()[0].driver;
+        let a = fwd.inputs()[0];
+        let buf = fwd.add_buf(a);
+        fwd.component_mut(g).fanins_mut()[0] = buf;
+        let order = fwd.topo_order();
+        assert!(fwd.is_topological(&order));
+        assert_ne!(order, fwd.ids().collect::<Vec<_>>());
     }
 
     #[test]

@@ -208,10 +208,47 @@ impl<'g> FlowContext<'g> {
     /// Mutable access to the working netlist (transform passes).
     ///
     /// Invalidates the [`StructuralCaches`] — any structural view
-    /// obtained earlier keeps describing the pre-mutation netlist.
+    /// obtained earlier keeps describing the pre-mutation netlist, and
+    /// the next reader rebuilds the view from scratch.
+    ///
+    /// The built-in transforms then hand forward the view they already
+    /// know of the structure they built, so the pass boundary does not
+    /// redo a DFS:
+    ///
+    /// * fan-out restriction (`restrict_fanout`, fixed `k`) hands
+    ///   forward a topological order: the previous order with each
+    ///   driver's FOG chain spliced in right after it, so its
+    ///   `depth_after` costs one level scan;
+    /// * buffer insertion under unit delay weights hands forward the
+    ///   levels: every original component keeps its arrival and every
+    ///   appended buffer sits one level above its fan-in;
+    /// * cost-aware fan-out restriction hands forward the levels it
+    ///   priced its chosen candidate with.
+    ///
+    /// A view is cached only after one linear scan of the mutated
+    /// netlist checks it — a level view must put every component at 1 +
+    /// its highest non-constant fan-in (which also proves the netlist
+    /// acyclic), an order must place every fan-in first — and is
+    /// dropped otherwise. A custom pass gets no hand-forward: after it,
+    /// the boundary recomputes every view, and a cycle it wired still
+    /// fails the run with [`PassError::Netlist`].
     pub fn netlist_mut(&mut self) -> &mut Netlist {
         self.caches.invalidate();
         &mut self.netlist
+    }
+
+    /// Offers a topological order of the just-mutated working netlist
+    /// to the caches, which keep it only if it checks out (see
+    /// [`FlowContext::netlist_mut`]).
+    pub(crate) fn hand_forward_order(&mut self, order: Vec<CompId>) {
+        self.caches.hand_forward_order(&self.netlist, order);
+    }
+
+    /// Offers the ASAP levels of the just-mutated working netlist to
+    /// the caches, which keep them only if they check out (see
+    /// [`FlowContext::netlist_mut`]).
+    pub(crate) fn hand_forward_levels(&mut self, levels: Vec<u32>) {
+        self.caches.hand_forward_levels(&self.netlist, levels);
     }
 
     /// The technology cost model this run prices against, if one was
@@ -231,7 +268,13 @@ impl<'g> FlowContext<'g> {
         self.caches.levels(&self.netlist)
     }
 
-    /// Cached fan-out edge lists of the working netlist.
+    /// A topological order of the working netlist to compute arrivals
+    /// against: a handed-forward one, else the cached DFS order.
+    pub(crate) fn arrival_order(&mut self) -> Arc<Vec<CompId>> {
+        self.caches.arrival_order(&self.netlist)
+    }
+
+    /// Cached flat fan-out edges of the working netlist.
     pub fn fanout_edges(&mut self) -> Arc<FanoutEdges> {
         self.caches.fanout_edges(&self.netlist)
     }
@@ -279,7 +322,7 @@ impl<'g> FlowContext<'g> {
         } else if weights == DelayWeights::UNIT {
             self.levels()
         } else {
-            let order = self.topo_order();
+            let order = self.arrival_order();
             Arc::new(self.netlist.levels_from_order(&order, &weights))
         };
         Ok((weights, arrival))
@@ -1638,6 +1681,72 @@ mod tests {
             ),
             "{err}"
         );
+    }
+
+    #[test]
+    fn built_in_transforms_hand_their_views_forward() {
+        // Wraps a compiled built-in pass and reads what it left in the
+        // caches right as it returns: the view it hands forward must be
+        // there, and exact.
+        struct Handed {
+            inner: Box<dyn Pass>,
+            order: bool,
+            levels: Option<bool>,
+        }
+        impl Pass for Handed {
+            fn name(&self) -> String {
+                self.inner.name()
+            }
+            fn kind(&self) -> PassKind {
+                self.inner.kind()
+            }
+            fn run(&self, ctx: &mut FlowContext<'_>) -> Result<(), PassError> {
+                self.inner.run(ctx)?;
+                let (order, levels) = ctx.caches.handed_views();
+                let name = self.name();
+                assert_eq!(order.is_some(), self.order, "{name}: order");
+                if let Some(order) = order {
+                    assert!(ctx.netlist.is_topological(order), "{name}");
+                }
+                if let Some(expected) = self.levels {
+                    assert_eq!(levels.is_some(), expected, "{name}: levels");
+                }
+                if let Some(levels) = levels {
+                    assert_eq!(levels, ctx.netlist.levels(), "{name}");
+                }
+                Ok(())
+            }
+        }
+        let handed = |spec, order, levels| -> Box<dyn Pass> {
+            Box::new(Handed {
+                inner: compile(spec).unwrap(),
+                order,
+                levels,
+            })
+        };
+        let model = CostTable::from_model(&FlatModel);
+        for seed in 0..8 {
+            let g = flow_mig(seed);
+            for (restrict, order) in [
+                (PassSpec::RestrictFanout { limit: 3 }, true),
+                (PassSpec::RestrictFanoutCostAware, false),
+            ] {
+                for (strategy, levels) in [
+                    (BufferStrategy::Asap, Some(true)),
+                    (BufferStrategy::Retimed, None),
+                    (BufferStrategy::Weighted(DelayWeights::QCA), Some(false)),
+                ] {
+                    FlowPipeline::builder()
+                        .map(false)
+                        .pass(handed(restrict.clone(), order, Some(true)))
+                        .pass(handed(PassSpec::InsertBuffers(strategy), false, levels))
+                        .build()
+                        .unwrap()
+                        .run_with_model(&g, Some(&model))
+                        .unwrap();
+                }
+            }
+        }
     }
 
     #[test]

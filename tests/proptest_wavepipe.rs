@@ -32,6 +32,19 @@ fn patterns(inputs: usize, seed: u64) -> Vec<Vec<bool>> {
         .collect()
 }
 
+/// The nested per-driver fan-out lists the flat table replaced, built
+/// the way they were: one list per component, filled in component-index
+/// then slot order.
+fn nested_fanout(n: &Netlist) -> Vec<Vec<(wavepipe::CompId, u32)>> {
+    let mut edges = vec![Vec::new(); n.len()];
+    for id in n.ids() {
+        for (slot, f) in n.component(id).fanins().iter().enumerate() {
+            edges[f.index()].push((id, slot as u32));
+        }
+    }
+    edges
+}
+
 /// Runs `spec` on `g`: the flow result of a verified run.
 fn run(spec: &PipelineSpec, g: &mig::Mig) -> FlowResult {
     let pipeline = spec.build().expect("well-ordered spec");
@@ -51,6 +64,29 @@ proptest! {
         prop_assert_eq!(report.depth, stats.depth);
         for p in patterns(config.inputs, config.seed) {
             prop_assert_eq!(golden.eval(&p), n.eval(&p));
+        }
+    }
+
+    #[test]
+    fn flat_fanout_matches_nested_lists(config in mig_config(), limit in 2u32..6) {
+        // Mapped, FOG-heavy restricted and BUF-heavy pipelined netlists
+        // (the last two full of forward edges): every driver yields the
+        // same (consumer, slot) sequence, in the same order.
+        let g = mig::random_mig(config);
+        let mapped = netlist_from_mig(&g);
+        let mut restricted = mapped.clone();
+        restrict_fanout(&mut restricted, limit);
+        let spec = PipelineSpec::map(false)
+            .restrict_fanout(limit)
+            .insert_buffers(BufferStrategy::Asap)
+            .verify(Some(limit));
+        let pipelined = run(&spec, &g).pipelined;
+        for n in [&mapped, &restricted, &pipelined] {
+            let (flat, nested) = (n.fanout_edges(), nested_fanout(n));
+            prop_assert_eq!(flat.len(), nested.len());
+            for (driver, uses) in nested.iter().enumerate() {
+                prop_assert_eq!(&flat[driver], uses.as_slice());
+            }
         }
     }
 
