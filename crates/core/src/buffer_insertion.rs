@@ -202,13 +202,11 @@ fn unwind(netlist: &mut Netlist, original_len: usize, err: BalanceError) -> Bala
     err
 }
 
-/// The unit-weight levels of a netlist that [`balance`] grew from
-/// `original_len` components against the feasible unit-weight
-/// `arrival`: each original component keeps its arrival and each
-/// appended buffer sits one level above its fan-in, an earlier
-/// component. A candidate only — the cache installs it after checking
-/// it, since an arrival that is not ASAP (a retimed component reading
-/// only constants) need not survive as a level.
+/// The ASAP levels of a netlist that [`balance`] grew from
+/// `original_len` components against its ASAP levels `arrival`: each
+/// original component keeps its level and each appended buffer sits
+/// one level above its fan-in, an earlier component. The cache still
+/// checks them before installing them.
 fn balanced_levels(netlist: &Netlist, arrival: &[u32], original_len: usize) -> Option<Vec<u32>> {
     let mut levels = Vec::with_capacity(netlist.len());
     levels.extend_from_slice(arrival.get(..original_len)?);
@@ -278,7 +276,7 @@ impl Pass for InsertBuffersPass {
         let fanout = ctx.fanout_edges();
         let original_len = ctx.netlist().len();
         let stats = balance(ctx.netlist_mut(), &weights, &arrival, &fanout)?;
-        if weights == DelayWeights::UNIT {
+        if self.0.arrives_asap(&weights) {
             if let Some(levels) = balanced_levels(ctx.netlist(), &arrival, original_len) {
                 ctx.hand_forward_levels(levels);
             }

@@ -91,9 +91,7 @@ pub fn restrict_fanout(netlist: &mut Netlist, limit: u32) -> FanoutRestriction {
 }
 
 /// [`restrict_fanout`], also returning the restricted netlist's ASAP
-/// levels. The pre-restriction topological order, with each FOG chain
-/// spliced in after its driver, orders the restricted netlist too, so
-/// the levels after cost one scan instead of a fresh DFS.
+/// levels (see [`restricted_levels`]).
 fn restrict_with_levels(netlist: &mut Netlist, limit: u32) -> (FanoutRestriction, Vec<u32>) {
     let order = netlist.topo_order();
     let original_levels = netlist.levels_from_order(&order, &DelayWeights::UNIT);
@@ -102,12 +100,64 @@ fn restrict_with_levels(netlist: &mut Netlist, limit: u32) -> (FanoutRestriction
     let original_len = netlist.len();
     let mut stats =
         restrict_fanout_prepared(netlist, limit, &original_levels, &fanout, depth_before);
-    let levels = match netlist.splice_chains(&order, original_len) {
-        Some(order) => netlist.levels_from_order(&order, &DelayWeights::UNIT),
-        None => netlist.levels(),
-    };
+    let levels = restricted_levels(netlist, &order, original_len);
     stats.depth_after = netlist.depth_from_levels(&levels);
     (stats, levels)
+}
+
+/// ASAP levels of a netlist that [`restrict_fanout_prepared`] grew from
+/// its first `original_len` components, whose topological order was
+/// `order`. That order with each FOG chain spliced in after its driver
+/// orders the restricted netlist too, so the levels cost one scan
+/// instead of a fresh DFS.
+fn restricted_levels(netlist: &Netlist, order: &[CompId], original_len: usize) -> Vec<u32> {
+    match splice_chains(netlist, order, original_len) {
+        Some(order) => netlist.levels_from_order(&order, &DelayWeights::UNIT),
+        None => netlist.levels(),
+    }
+}
+
+/// Extends `order`, a topological order of the first `original_len`
+/// components, over the single-fan-in chains appended since: each chain
+/// goes right after the original component it hangs off, in arena
+/// order. `None` unless every appended component reads an original or
+/// an earlier appended one, and the chains were appended in root order
+/// — the shape [`restrict_fanout_prepared`] leaves.
+fn splice_chains(netlist: &Netlist, order: &[CompId], original_len: usize) -> Option<Vec<CompId>> {
+    let appended = original_len..netlist.len();
+    let mut roots: Vec<u32> = Vec::with_capacity(appended.len());
+    for (k, idx) in appended.enumerate() {
+        let f = netlist
+            .component(CompId::from_index(idx))
+            .fanins()
+            .first()?
+            .index();
+        let root = match f.checked_sub(original_len) {
+            None => f as u32,
+            Some(j) if j < k => roots[j],
+            Some(_) => return None,
+        };
+        if roots.last().is_some_and(|&last| last > root) {
+            return None;
+        }
+        roots.push(root);
+    }
+    // Chains are contiguous and in root order, so `start[r]..start[r
+    // + 1]` is root r's run of appended components.
+    let mut start = vec![0u32; original_len + 1];
+    for &r in &roots {
+        start[r as usize + 1] += 1;
+    }
+    for i in 0..original_len {
+        start[i + 1] += start[i];
+    }
+    let mut spliced = Vec::with_capacity(netlist.len());
+    for &id in order {
+        spliced.push(id);
+        let run = start.get(id.index()..id.index() + 2)?;
+        spliced.extend((run[0]..run[1]).map(|k| CompId::from_index(original_len + k as usize)));
+    }
+    Some(spliced)
 }
 
 /// [`restrict_fanout`] against already-computed structural views (the
@@ -120,9 +170,9 @@ fn restrict_with_levels(netlist: &mut Netlist, limit: u32) -> (FanoutRestriction
 ///
 /// The returned statistics leave `depth_after` at zero — the netlist
 /// has just been mutated, so the caller decides where the fresh depth
-/// comes from (the pipeline pass hands the spliced topological order
-/// forward and reads the depth back through the cache, which also
-/// primes it for the instrumentation layer).
+/// comes from (the pipeline pass hands the levels along the spliced
+/// topological order forward and reads the depth back through the
+/// cache, which also primes it for the instrumentation layer).
 ///
 /// # Panics
 ///
@@ -245,7 +295,7 @@ impl crate::pipeline::Pass for FanoutRestrictionPass {
         ctx: &mut crate::pipeline::FlowContext<'_>,
     ) -> Result<(), crate::pipeline::PassError> {
         let levels = ctx.levels();
-        let order = ctx.arrival_order();
+        let order = ctx.topo_order();
         let fanout = ctx.fanout_edges();
         let depth_before = ctx.depth();
         let original_len = ctx.netlist().len();
@@ -256,9 +306,8 @@ impl crate::pipeline::Pass for FanoutRestrictionPass {
             &fanout,
             depth_before,
         );
-        if let Some(order) = ctx.netlist().splice_chains(&order, original_len) {
-            ctx.hand_forward_order(order);
-        }
+        let levels = restricted_levels(ctx.netlist(), &order, original_len);
+        ctx.hand_forward_levels(levels);
         stats.depth_after = ctx.depth();
         ctx.fanout = Some(stats);
         Ok(())

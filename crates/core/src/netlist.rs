@@ -391,18 +391,6 @@ impl Netlist {
     /// cycle.
     pub fn try_topo_order(&self) -> Result<Vec<CompId>, NetlistError> {
         let n = self.components.len();
-        // An arena whose fan-ins all point backwards (every freshly
-        // mapped netlist) is the order the DFS below would emit — each
-        // root's fan-ins are already done when it is reached — so one
-        // scan replaces the traversal.
-        let backwards = self
-            .components
-            .iter()
-            .enumerate()
-            .all(|(i, c)| c.fanins().iter().all(|f| f.index() < i));
-        if backwards {
-            return Ok(self.ids().collect());
-        }
         let mut state = vec![0u8; n]; // 0 new, 1 on stack, 2 done
         let mut order = Vec::with_capacity(n);
         let mut stack: Vec<(CompId, usize)> = Vec::new();
@@ -510,74 +498,6 @@ impl Netlist {
                 };
                 expected == Some(level)
             })
-    }
-
-    /// Whether `order` is a topological order of this netlist, by one
-    /// scan: every component exactly once, every fan-in placed before
-    /// its consumer — the check a handed-forward order must pass.
-    pub(crate) fn is_topological(&self, order: &[CompId]) -> bool {
-        if order.len() != self.components.len() {
-            return false;
-        }
-        let mut placed = vec![false; order.len()];
-        for &id in order {
-            let Some(comp) = self.components.get(id.index()) else {
-                return false;
-            };
-            let ready = comp
-                .fanins()
-                .iter()
-                .all(|f| placed.get(f.index()).copied().unwrap_or(false));
-            if placed[id.index()] || !ready {
-                return false;
-            }
-            placed[id.index()] = true;
-        }
-        true
-    }
-
-    /// Extends `order`, a topological order of the first `original_len`
-    /// components, over the single-fan-in chains appended since (fan-out
-    /// restriction's FOG chains): each chain goes right after the
-    /// original component it hangs off, in arena order. `None` unless
-    /// every appended component reads an original or an earlier appended
-    /// one, and the chains were appended in root order — the shape
-    /// [`crate::restrict_fanout_prepared`] leaves.
-    pub(crate) fn splice_chains(
-        &self,
-        order: &[CompId],
-        original_len: usize,
-    ) -> Option<Vec<CompId>> {
-        let appended = self.components.get(original_len..)?;
-        let mut roots: Vec<u32> = Vec::with_capacity(appended.len());
-        for (k, c) in appended.iter().enumerate() {
-            let f = c.fanins().first()?.index();
-            let root = match f.checked_sub(original_len) {
-                None => f as u32,
-                Some(j) if j < k => roots[j],
-                Some(_) => return None,
-            };
-            if roots.last().is_some_and(|&last| last > root) {
-                return None;
-            }
-            roots.push(root);
-        }
-        // Chains are contiguous and in root order, so `start[r]..start[r
-        // + 1]` is root r's run of appended components.
-        let mut start = vec![0u32; original_len + 1];
-        for &r in &roots {
-            start[r as usize + 1] += 1;
-        }
-        for i in 0..original_len {
-            start[i + 1] += start[i];
-        }
-        let mut spliced = Vec::with_capacity(self.components.len());
-        for &id in order {
-            spliced.push(id);
-            let run = start.get(id.index()..id.index() + 2)?;
-            spliced.extend((run[0]..run[1]).map(|k| CompId::from_index(original_len + k as usize)));
-        }
-        Some(spliced)
     }
 
     /// Netlist depth: maximum level over non-constant primary outputs.
@@ -1035,21 +955,20 @@ impl Netlist {
 /// the pre-mutation structure, which is exactly what the paper's two
 /// algorithms want).
 ///
-/// A built-in transform pass that already knows the structure it just
-/// built hands a view forward instead of leaving the next reader to
-/// rebuild it (see [`FlowContext::netlist_mut`](crate::FlowContext::netlist_mut)):
-/// fan-out restriction a topological order, buffer insertion the
-/// levels. A handed-forward view is accepted only after one linear
-/// check against the mutated netlist and is dropped otherwise, so the
-/// next reader falls back to the from-scratch computation. A
-/// handed-forward order only ever feeds level and arrival computation,
-/// which every topological order gives alike;
+/// A built-in transform pass that already knows the levels of the
+/// structure it just built hands them forward instead of leaving the
+/// next reader to rebuild them with a DFS (see
+/// [`FlowContext::netlist_mut`](crate::FlowContext::netlist_mut)).
+/// Handed-forward levels are accepted only after one linear check
+/// against the mutated netlist (each level 1 + the highest
+/// non-constant fan-in level, 0 without fan-ins) and are dropped
+/// otherwise, so the next reader falls back to the
+/// from-scratch computation. Levels are the only view handed forward:
 /// [`StructuralCaches::topo_order`] stays exactly
 /// [`Netlist::topo_order`].
 #[derive(Clone, Debug, Default)]
 pub struct StructuralCaches {
     topo: Option<Arc<Vec<CompId>>>,
-    handed_order: Option<Arc<Vec<CompId>>>,
     levels: Option<Arc<Vec<u32>>>,
     fanout_edges: Option<Arc<FanoutEdges>>,
     fanout_counts: Option<Arc<Vec<u32>>>,
@@ -1163,38 +1082,6 @@ impl StructuralCaches {
         Ok(self.topo.as_ref().expect("just filled").clone())
     }
 
-    /// A topological order to compute levels or arrivals against: the
-    /// one a pass handed forward, else the cached
-    /// [`Netlist::try_topo_order`].
-    pub(crate) fn try_arrival_order(
-        &mut self,
-        netlist: &Netlist,
-    ) -> Result<Arc<Vec<CompId>>, NetlistError> {
-        match &self.handed_order {
-            Some(order) => Ok(order.clone()),
-            None => self.try_topo_order(netlist),
-        }
-    }
-
-    /// Panicking [`StructuralCaches::try_arrival_order`].
-    pub(crate) fn arrival_order(&mut self, netlist: &Netlist) -> Arc<Vec<CompId>> {
-        self.try_arrival_order(netlist)
-            .unwrap_or_else(|e| panic!("combinational cycle: {e}"))
-    }
-
-    /// Caches `order` as `netlist`'s arrival order if one scan shows it
-    /// is topological (every component once, every fan-in earlier);
-    /// otherwise drops it, and returns whether it was kept. Call on
-    /// freshly invalidated caches, right after the mutation `order`
-    /// describes.
-    pub(crate) fn hand_forward_order(&mut self, netlist: &Netlist, order: Vec<CompId>) -> bool {
-        let holds = netlist.is_topological(&order);
-        if holds {
-            self.handed_order = Some(Arc::new(order));
-        }
-        holds
-    }
-
     /// Caches `levels` as `netlist`'s ASAP levels if one scan shows they
     /// are (see [`Netlist::levels_hold`]); otherwise drops them, and
     /// returns whether they were kept. Call on freshly invalidated
@@ -1207,17 +1094,14 @@ impl StructuralCaches {
         holds
     }
 
-    /// The handed-forward order and the levels currently cached, for
-    /// tests that check what a pass left behind.
+    /// The levels currently cached, for tests that check what a pass
+    /// left behind.
     #[cfg(test)]
-    pub(crate) fn handed_views(&self) -> (Option<&[CompId]>, Option<&[u32]>) {
-        (
-            self.handed_order.as_deref().map(Vec::as_slice),
-            self.levels.as_deref().map(Vec::as_slice),
-        )
+    pub(crate) fn cached_levels(&self) -> Option<&[u32]> {
+        self.levels.as_deref().map(Vec::as_slice)
     }
 
-    /// Cached [`Netlist::levels`] (computed against the arrival order).
+    /// Cached [`Netlist::levels`] (reuses the cached topological order).
     pub fn levels(&mut self, netlist: &Netlist) -> Arc<Vec<u32>> {
         self.try_levels(netlist)
             .unwrap_or_else(|e| panic!("combinational cycle: {e}"))
@@ -1230,7 +1114,7 @@ impl StructuralCaches {
     /// [`NetlistError::CombinationalCycle`].
     pub fn try_levels(&mut self, netlist: &Netlist) -> Result<Arc<Vec<u32>>, NetlistError> {
         if self.levels.is_none() {
-            let order = self.try_arrival_order(netlist)?;
+            let order = self.try_topo_order(netlist)?;
             self.levels = Some(Arc::new(
                 netlist.levels_from_order(&order, &DelayWeights::UNIT),
             ));
@@ -1539,7 +1423,7 @@ mod tests {
         let g = n.outputs()[0].driver;
         let buf = n.add_buf(g);
         n.set_output_driver(0, buf);
-        let (levels, order) = (n.levels(), n.topo_order());
+        let levels = n.levels();
 
         // Corrupted level vectors: one level off, a constant-only
         // shortcut, a wrong length. Each falls back, caches nothing,
@@ -1551,26 +1435,13 @@ mod tests {
         for bad in [off, zero, levels[..2].to_vec()] {
             let mut caches = StructuralCaches::default();
             assert!(!caches.hand_forward_levels(&n, bad));
-            assert_eq!(caches.handed_views(), (None, None));
+            assert_eq!(caches.cached_levels(), None);
             assert_eq!(*caches.levels(&n), levels);
             assert_eq!(caches.depth(&n), 2);
         }
         let mut caches = StructuralCaches::default();
         assert!(caches.hand_forward_levels(&n, levels.clone()));
-        assert_eq!(caches.handed_views().1, Some(&levels[..]));
-
-        // Orders: a consumer before its fan-in, a repeat, a short one.
-        let mut swapped = order.clone();
-        swapped.swap(order.len() - 1, order.len() - 2);
-        let mut repeated = order.clone();
-        repeated[1] = repeated[0];
-        for bad in [swapped, repeated, order[1..].to_vec()] {
-            let mut caches = StructuralCaches::default();
-            assert!(!caches.hand_forward_order(&n, bad));
-            assert_eq!(caches.handed_views(), (None, None));
-            assert_eq!(*caches.levels(&n), levels);
-        }
-        assert!(caches.hand_forward_order(&n, order.clone()));
+        assert_eq!(caches.cached_levels(), Some(&levels[..]));
 
         // No level vector passes on a cycle, which still surfaces.
         let mut cyc = Netlist::new("cyc");
@@ -1583,27 +1454,10 @@ mod tests {
         for bad in [vec![0, 1, 2], vec![0, 2, 1], vec![0, 0, 0]] {
             assert!(!caches.hand_forward_levels(&cyc, bad));
         }
-        assert!(!caches.hand_forward_order(&cyc, cyc.ids().collect()));
         assert!(matches!(
             caches.try_depth(&cyc),
             Err(NetlistError::CombinationalCycle(_))
         ));
-    }
-
-    #[test]
-    fn backward_arenas_take_the_identity_order_the_dfs_would_give() {
-        let n = and_netlist();
-        assert_eq!(n.topo_order(), n.ids().collect::<Vec<_>>());
-        // One forward edge sends it down the DFS, which still agrees
-        // with an order that places fan-ins first.
-        let mut fwd = and_netlist();
-        let g = fwd.outputs()[0].driver;
-        let a = fwd.inputs()[0];
-        let buf = fwd.add_buf(a);
-        fwd.component_mut(g).fanins_mut()[0] = buf;
-        let order = fwd.topo_order();
-        assert!(fwd.is_topological(&order));
-        assert_ne!(order, fwd.ids().collect::<Vec<_>>());
     }
 
     #[test]

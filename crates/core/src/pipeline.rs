@@ -211,37 +211,27 @@ impl<'g> FlowContext<'g> {
     /// obtained earlier keeps describing the pre-mutation netlist, and
     /// the next reader rebuilds the view from scratch.
     ///
-    /// The built-in transforms then hand forward the view they already
-    /// know of the structure they built, so the pass boundary does not
-    /// redo a DFS:
+    /// The built-in transforms then hand forward the ASAP levels of the
+    /// structure they built, so the pass boundary does not redo a DFS:
     ///
-    /// * fan-out restriction (`restrict_fanout`, fixed `k`) hands
-    ///   forward a topological order: the previous order with each
-    ///   driver's FOG chain spliced in right after it, so its
-    ///   `depth_after` costs one level scan;
-    /// * buffer insertion under unit delay weights hands forward the
-    ///   levels: every original component keeps its arrival and every
-    ///   appended buffer sits one level above its fan-in;
+    /// * fan-out restriction (`restrict_fanout`, fixed `k`) computes
+    ///   them along the previous topological order with each driver's
+    ///   FOG chain spliced in right after it, one scan;
+    /// * buffer insertion under ASAP unit-delay arrivals keeps every
+    ///   original component's arrival and puts every appended buffer one
+    ///   level above its fan-in;
     /// * cost-aware fan-out restriction hands forward the levels it
     ///   priced its chosen candidate with.
     ///
-    /// A view is cached only after one linear scan of the mutated
-    /// netlist checks it — a level view must put every component at 1 +
-    /// its highest non-constant fan-in (which also proves the netlist
-    /// acyclic), an order must place every fan-in first — and is
-    /// dropped otherwise. A custom pass gets no hand-forward: after it,
-    /// the boundary recomputes every view, and a cycle it wired still
-    /// fails the run with [`PassError::Netlist`].
+    /// Levels are cached only after one linear scan of the mutated
+    /// netlist checks them — every component at 1 + its highest
+    /// non-constant fan-in, which also proves the netlist acyclic — and
+    /// are dropped otherwise. A custom pass gets no hand-forward: after
+    /// it, the boundary recomputes every view, and a cycle it wired
+    /// still fails the run with [`PassError::Netlist`].
     pub fn netlist_mut(&mut self) -> &mut Netlist {
         self.caches.invalidate();
         &mut self.netlist
-    }
-
-    /// Offers a topological order of the just-mutated working netlist
-    /// to the caches, which keep it only if it checks out (see
-    /// [`FlowContext::netlist_mut`]).
-    pub(crate) fn hand_forward_order(&mut self, order: Vec<CompId>) {
-        self.caches.hand_forward_order(&self.netlist, order);
     }
 
     /// Offers the ASAP levels of the just-mutated working netlist to
@@ -266,12 +256,6 @@ impl<'g> FlowContext<'g> {
     /// Cached ASAP levels of the working netlist.
     pub fn levels(&mut self) -> Arc<Vec<u32>> {
         self.caches.levels(&self.netlist)
-    }
-
-    /// A topological order of the working netlist to compute arrivals
-    /// against: a handed-forward one, else the cached DFS order.
-    pub(crate) fn arrival_order(&mut self) -> Arc<Vec<CompId>> {
-        self.caches.arrival_order(&self.netlist)
     }
 
     /// Cached flat fan-out edges of the working netlist.
@@ -317,12 +301,12 @@ impl<'g> FlowContext<'g> {
                 })?)
             }
         };
-        let arrival = if strategy == BufferStrategy::Retimed {
-            Arc::new(crate::retiming::schedule_levels(&self.netlist, &mut self.caches).retimed)
-        } else if weights == DelayWeights::UNIT {
+        let arrival = if strategy.arrives_asap(&weights) {
             self.levels()
+        } else if strategy == BufferStrategy::Retimed {
+            Arc::new(crate::retiming::schedule_levels(&self.netlist, &mut self.caches).retimed)
         } else {
-            let order = self.arrival_order();
+            let order = self.topo_order();
             Arc::new(self.netlist.levels_from_order(&order, &weights))
         };
         Ok((weights, arrival))
@@ -879,6 +863,13 @@ impl BufferStrategy {
     /// run except an explicitly weighted one.
     pub(crate) fn is_unit_delay(self, weights: &DelayWeights) -> bool {
         *weights == DelayWeights::UNIT && !matches!(self, BufferStrategy::Weighted(_))
+    }
+
+    /// Whether `FlowContext::schedule` balances this strategy under
+    /// `weights` (its resolved weights) against the ASAP levels: every
+    /// unit run except a retimed one.
+    pub(crate) fn arrives_asap(self, weights: &DelayWeights) -> bool {
+        *weights == DelayWeights::UNIT && self != BufferStrategy::Retimed
     }
 }
 
@@ -1684,14 +1675,13 @@ mod tests {
     }
 
     #[test]
-    fn built_in_transforms_hand_their_views_forward() {
+    fn built_in_transforms_hand_their_levels_forward() {
         // Wraps a compiled built-in pass and reads what it left in the
-        // caches right as it returns: the view it hands forward must be
-        // there, and exact.
+        // caches right as it returns: the levels it hands forward must
+        // be there, and exact; a pass that hands none leaves none.
         struct Handed {
             inner: Box<dyn Pass>,
-            order: bool,
-            levels: Option<bool>,
+            levels: bool,
         }
         impl Pass for Handed {
             fn name(&self) -> String {
@@ -1702,44 +1692,37 @@ mod tests {
             }
             fn run(&self, ctx: &mut FlowContext<'_>) -> Result<(), PassError> {
                 self.inner.run(ctx)?;
-                let (order, levels) = ctx.caches.handed_views();
                 let name = self.name();
-                assert_eq!(order.is_some(), self.order, "{name}: order");
-                if let Some(order) = order {
-                    assert!(ctx.netlist.is_topological(order), "{name}");
-                }
-                if let Some(expected) = self.levels {
-                    assert_eq!(levels.is_some(), expected, "{name}: levels");
-                }
+                let levels = ctx.caches.cached_levels();
+                assert_eq!(levels.is_some(), self.levels, "{name}: levels");
                 if let Some(levels) = levels {
                     assert_eq!(levels, ctx.netlist.levels(), "{name}");
                 }
                 Ok(())
             }
         }
-        let handed = |spec, order, levels| -> Box<dyn Pass> {
+        let handed = |spec, levels| -> Box<dyn Pass> {
             Box::new(Handed {
                 inner: compile(spec).unwrap(),
-                order,
                 levels,
             })
         };
         let model = CostTable::from_model(&FlatModel);
         for seed in 0..8 {
             let g = flow_mig(seed);
-            for (restrict, order) in [
-                (PassSpec::RestrictFanout { limit: 3 }, true),
-                (PassSpec::RestrictFanoutCostAware, false),
+            for restrict in [
+                PassSpec::RestrictFanout { limit: 3 },
+                PassSpec::RestrictFanoutCostAware,
             ] {
                 for (strategy, levels) in [
-                    (BufferStrategy::Asap, Some(true)),
-                    (BufferStrategy::Retimed, None),
-                    (BufferStrategy::Weighted(DelayWeights::QCA), Some(false)),
+                    (BufferStrategy::Asap, true),
+                    (BufferStrategy::Retimed, false),
+                    (BufferStrategy::Weighted(DelayWeights::QCA), false),
                 ] {
                     FlowPipeline::builder()
                         .map(false)
-                        .pass(handed(restrict.clone(), order, Some(true)))
-                        .pass(handed(PassSpec::InsertBuffers(strategy), false, levels))
+                        .pass(handed(restrict.clone(), true))
+                        .pass(handed(PassSpec::InsertBuffers(strategy), levels))
                         .build()
                         .unwrap()
                         .run_with_model(&g, Some(&model))

@@ -1,10 +1,10 @@
-//! Handed-forward structural views: fan-out restriction hands its
-//! spliced topological order forward and buffer insertion its levels,
-//! so the pass boundary reads them instead of redoing a DFS. Whatever a
-//! built-in chain leaves cached must be what a from-scratch computation
-//! gives: after every pass the context's levels equal
-//! `Netlist::levels()`, its order is topological, and the trace's
-//! depths match a fresh recompute.
+//! Handed-forward structural views: fan-out restriction and buffer
+//! insertion hand the levels of what they built forward, so the pass
+//! boundary reads them instead of redoing a DFS. Whatever a built-in
+//! chain leaves cached must be what a from-scratch computation gives:
+//! after every pass the context's levels equal `Netlist::levels()`, its
+//! order is topological, and the trace's depths match a fresh
+//! recompute.
 
 use std::sync::{Arc, Mutex};
 
