@@ -494,9 +494,6 @@ impl Server {
                         return; // woken by the shutdown dummy connect
                     }
                     let Ok(stream) = stream else { continue };
-                    // Each reply burst is one flush; with Nagle on, it
-                    // would wait out the client's delayed ACK.
-                    stream.set_nodelay(true).ok();
                     shared.metrics.clients.fetch_add(1, Ordering::Relaxed);
                     let client_id = shared.next_client.fetch_add(1, Ordering::Relaxed);
                     if let Ok(clone) = stream.try_clone() {
@@ -612,31 +609,6 @@ mod tests {
             shed_slow_clients: false,
         };
         Server::start(engine, "127.0.0.1:0", config).expect("bind loopback")
-    }
-
-    #[test]
-    fn accepted_streams_disable_nagle() {
-        let server = start_server();
-        let mut client = Client::connect(server.local_addr()).expect("connect");
-        client
-            .send(&Request::Control {
-                id: 1,
-                control: Control::Ping,
-            })
-            .expect("send ping");
-        // The acceptor registers a stream before its reader answers.
-        assert!(matches!(
-            client.read_event().unwrap(),
-            Event::Pong { id: 1 }
-        ));
-        {
-            let clients = relock(&server.shared.clients);
-            assert_eq!(clients.len(), 1);
-            for stream in clients.values() {
-                assert!(stream.nodelay().expect("socket option"), "Nagle left on");
-            }
-        }
-        server.shutdown();
     }
 
     #[test]
