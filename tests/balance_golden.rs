@@ -11,13 +11,19 @@
 //! circuit and one column per case. It also pins each case's pipeline
 //! spec content hash and the persist cache version, both cache keys,
 //! and the digest of one fixed run's disk entry body, so the entry
-//! layout cannot drift without a version bump.
+//! layout cannot drift without a version bump. Its `grid` line digests
+//! every cell of engine grid runs (the Table II circuits under each
+//! Table I technology), so the bytes a cell carries cannot depend on
+//! how the engine schedules or shares the cells' executions.
 //!
 //! On a mismatch the test prints the fresh rows and every differing
 //! case's full rendering.
 
 use tech::Technology;
-use wavepipe::{io, persist, BufferStrategy, CostTable, DelayWeights, PipelineRun, PipelineSpec};
+use wavepipe::{
+    io, persist, BufferStrategy, CostTable, DelayWeights, Engine, FlowSpec, PipelineRun,
+    PipelineSpec,
+};
 
 const TABLE2_CIRCUITS: [&str; 6] = ["SASC", "DES_AREA", "MUL32", "HAMMING", "REVX", "DIFFEQ1"];
 
@@ -109,6 +115,48 @@ fn cache_format_digest() -> u64 {
     fnv1a(&persist::run_to_bytes(&run))
 }
 
+/// FNV-1a over every cell's binary disk body, wall-clock pass times
+/// zeroed (failed cells by their error text), of one engine run per
+/// pipeline: the Table II circuits × every Table I technology under the
+/// default flow, a weighted flow and a cost-aware flow.
+fn grid_digest() -> u64 {
+    let pipelines = [
+        PipelineSpec::default(),
+        PipelineSpec::map(false)
+            .restrict_fanout(3)
+            .insert_buffers(BufferStrategy::Weighted(DelayWeights::QCA))
+            .verify_weighted(DelayWeights::QCA),
+        PipelineSpec::map(false)
+            .restrict_fanout(3)
+            .insert_buffers(BufferStrategy::CostAware)
+            .verify_cost_aware(Some(3)),
+    ];
+    let engine = Engine::new().with_resolver(benchsuite::build_mig);
+    let mut bytes = Vec::new();
+    for pipeline in pipelines {
+        let mut spec = FlowSpec::new("grid").with_pipeline(pipeline);
+        for technology in Technology::all() {
+            spec = spec.technology(technology.cost_table());
+        }
+        for circuit in TABLE2_CIRCUITS {
+            spec = spec.circuit(circuit);
+        }
+        for cell in &engine.run(&spec).expect("grid spec runs") {
+            match &cell.outcome {
+                Ok(run) => {
+                    let mut run = PipelineRun::clone(run);
+                    for stats in &mut run.trace {
+                        stats.micros = 0;
+                    }
+                    bytes.extend(persist::run_to_bytes(&run));
+                }
+                Err(e) => bytes.extend(format!("err {e}").into_bytes()),
+            }
+        }
+    }
+    fnv1a(&bytes)
+}
+
 /// The golden text, plus every case's full rendering by (row, column).
 fn render() -> (String, Vec<Vec<String>>) {
     let cases = cases();
@@ -145,6 +193,7 @@ fn render() -> (String, Vec<Vec<String>>) {
         text.push_str(&format!("{circuit} {}\n", digests.join(" ")));
         full.push(row);
     }
+    text.push_str(&format!("grid {:016x}\n", grid_digest()));
     (text, full)
 }
 
@@ -165,6 +214,10 @@ fn every_balancing_strategy_matches_its_golden_digest() {
                 names[column], row[column]
             ));
         }
+    }
+    let (got, want) = (text.lines().last(), GOLDEN.lines().last());
+    if got != want {
+        report.push_str(&format!("golden {want:?}, now {got:?}\n"));
     }
     panic!("golden mismatch:\n{report}\nrendered:\n{text}");
 }
