@@ -14,11 +14,19 @@
 //! hits, editing one technology re-prices only that column, adding a
 //! circuit computes only its row.
 //!
+//! The cells that miss execute once per circuit when the pipeline is
+//! cost-blind: the technology then only prices the trace, so one pass
+//! loop serves every missed technology of a circuit, and those cells
+//! share one [`crate::FlowResult`]. A cost-aware pipeline executes
+//! every missed cell under its own model. Either way each cell's bytes
+//! are those of a direct [`FlowPipeline::run_with_model`] under its
+//! technology (the golden tests pin this).
+//!
 //! Cached cells come back as [`Arc`]-shared [`PipelineRun`]s, so a warm
-//! re-run returns bit-identical results (the golden tests pin this)
-//! while executing **zero passes** — asserted via the engine's
-//! [`EngineStats::passes_executed`] counter, which sums the per-pass
-//! [`crate::PassStats`] records of every run that actually executed.
+//! re-run returns bit-identical results while executing **zero
+//! passes** — asserted via the engine's
+//! [`EngineStats::passes_executed`] counter, which counts the passes
+//! of every pipeline execution, however many cells it served.
 //!
 //! Results stream: [`Engine::run_streaming`] invokes a callback from
 //! the worker threads as each cell completes, and the collected
@@ -131,9 +139,11 @@ pub struct EngineStats {
     pub cache_hits: u64,
     /// Entries that had to execute (every cache tier cold, or changed).
     pub cache_misses: u64,
-    /// Passes actually executed, summed from the [`crate::PassStats`]
-    /// traces of every run that was computed rather than recalled — the
-    /// counter the warm-cache golden test pins to zero.
+    /// Passes actually executed: each pipeline execution counts its
+    /// passes once, however many cells it served (under a cost-blind
+    /// pipeline one execution serves every missed technology of a
+    /// circuit), so this counts executions, not cells. The counter the
+    /// warm-cache golden test pins to zero.
     pub passes_executed: u64,
     /// Output cones spliced from cached runs by the incremental engine.
     pub cones_reused: u64,
@@ -567,8 +577,8 @@ impl Engine {
 
         let tally = RunTally::default();
         let cells = self.grid_cells(
+            &spec.pipeline,
             &pipeline,
-            spec.pipeline.content_hash(),
             &graphs,
             &spec.technologies,
             Some(&tally),
@@ -611,29 +621,30 @@ impl Engine {
         if pipeline.uses_cost_aware_passes() && models.is_empty() {
             return Err(SpecError::CostAwareWithoutTechnology.into());
         }
-        Ok(self.grid_cells(
-            &built,
-            pipeline.content_hash(),
-            graphs,
-            models,
-            None,
-            &|_| {},
-        ))
+        Ok(self.grid_cells(pipeline, &built, graphs, models, None, &|_| {}))
     }
 
-    /// Grid execution over an already-built pipeline. `pipe_hash` is
-    /// the pipeline's stable identity; with caching disabled every cell
-    /// executes.
+    /// Grid execution of `spec`, already built into `pipeline`; with
+    /// caching disabled every cell misses.
+    ///
+    /// Every cell first looks itself up on its own, and hits stream to
+    /// `sink` at once. The cells that missed then execute in groups.
+    /// Under a cost-blind pipeline the technology only prices the
+    /// trace, so one execution per circuit serves all of its missed
+    /// cells, which share the resulting [`crate::FlowResult`]; under a
+    /// cost-aware one every missed cell executes on its own.
     fn grid_cells(
         &self,
+        spec: &PipelineSpec,
         pipeline: &FlowPipeline,
-        pipe_hash: u64,
         graphs: &[&Mig],
         models: &[CostTable],
         tally: Option<&RunTally>,
         sink: &(dyn Fn(&EngineCell) + Sync),
     ) -> Vec<EngineCell> {
         let caching = self.caching_enabled();
+        let cost_aware = spec.uses_cost_aware_passes();
+        let pipe_hash = spec.content_hash();
         // One content hash per circuit, computed once per sweep — a
         // direct arena walk, no intermediate serialization.
         let circuit_hashes: Vec<u64> = if caching {
@@ -650,61 +661,97 @@ impl Engine {
                 .flat_map(|c| (0..models.len()).map(move |m| (c, Some(m))))
                 .collect()
         };
-
-        coords
-            .par_iter()
+        let keys: Vec<Option<CacheKey>> = coords
+            .iter()
             .map(|&(circuit, technology)| {
-                let key = caching.then(|| CacheKey {
+                caching.then(|| CacheKey {
                     scope: Scope::Cell,
                     circuit: circuit_hashes[circuit],
                     pipeline: pipe_hash,
                     technology: technology.map_or(COST_BLIND, |m| tech_hashes[m]),
-                });
-                if let Some(run) = key.and_then(|key| self.lookup_tallied(&key, tally)) {
-                    let cell = EngineCell {
-                        circuit,
-                        technology,
-                        cached: true,
-                        outcome: Ok(run),
-                    };
-                    sink(&cell);
-                    return cell;
-                }
-
-                let model = technology.map(|m| &models[m]);
-                let outcome = pipeline.run_with_model(graphs[circuit], model);
-                if caching {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    if let Some(tally) = tally {
-                        tally.misses.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                let outcome = match outcome {
-                    Ok(run) => {
-                        self.passes_executed
-                            .fetch_add(run.trace.len() as u64, Ordering::Relaxed);
-                        if let Some(tally) = tally {
-                            tally
-                                .passes
-                                .fetch_add(run.trace.len() as u64, Ordering::Relaxed);
-                        }
-                        let run = Arc::new(run);
-                        if let Some(key) = key {
-                            self.store_tallied(key, &run, tally);
-                        }
-                        Ok(run)
-                    }
-                    Err(e) => Err(e),
-                };
-                let cell = EngineCell {
-                    circuit,
-                    technology,
-                    cached: false,
-                    outcome,
-                };
-                sink(&cell);
-                cell
+                })
             })
+            .collect();
+        let cell = |i: usize, cached: bool, outcome| {
+            let (circuit, technology) = coords[i];
+            let cell = EngineCell {
+                circuit,
+                technology,
+                cached,
+                outcome,
+            };
+            sink(&cell);
+            cell
+        };
+
+        let indices: Vec<usize> = (0..coords.len()).collect();
+        let mut cells: Vec<Option<EngineCell>> = indices
+            .par_iter()
+            .map(|&i| {
+                let run = keys[i].and_then(|key| self.lookup_tallied(&key, tally))?;
+                Some(cell(i, true, Ok(run)))
+            })
+            .collect();
+
+        // Coordinates run circuit-major, so one circuit's misses are
+        // adjacent.
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        for i in (0..coords.len()).filter(|&i| cells[i].is_none()) {
+            match groups.last_mut() {
+                Some(group) if !cost_aware && coords[group[0]].0 == coords[i].0 => group.push(i),
+                _ => groups.push(vec![i]),
+            }
+        }
+        let computed: Vec<Vec<(usize, EngineCell)>> = groups
+            .par_iter()
+            .map(|group| {
+                let tables: Vec<&CostTable> = group
+                    .iter()
+                    .filter_map(|&i| coords[i].1.map(|m| &models[m]))
+                    .collect();
+                // A cost-aware group is one cell, executed under its
+                // own model; a cost-blind one executes unpriced.
+                let model = if cost_aware {
+                    tables.first().copied()
+                } else {
+                    None
+                };
+                let outcomes: Vec<Result<Arc<PipelineRun>, PassError>> =
+                    match pipeline.run_priced(graphs[coords[group[0]].0], model, &tables) {
+                        Ok(runs) => {
+                            let passes = runs[0].trace.len() as u64;
+                            self.passes_executed.fetch_add(passes, Ordering::Relaxed);
+                            if let Some(tally) = tally {
+                                tally.passes.fetch_add(passes, Ordering::Relaxed);
+                            }
+                            runs.into_iter().map(|run| Ok(Arc::new(run))).collect()
+                        }
+                        Err(e) => group.iter().map(|_| Err(e.clone())).collect(),
+                    };
+                group
+                    .iter()
+                    .zip(outcomes)
+                    .map(|(&i, outcome)| {
+                        if caching {
+                            self.misses.fetch_add(1, Ordering::Relaxed);
+                            if let Some(tally) = tally {
+                                tally.misses.fetch_add(1, Ordering::Relaxed);
+                            }
+                        }
+                        if let (Ok(run), Some(key)) = (&outcome, keys[i]) {
+                            self.store_tallied(key, run, tally);
+                        }
+                        (i, cell(i, false, outcome))
+                    })
+                    .collect()
+            })
+            .collect();
+        for (i, done) in computed.into_iter().flatten() {
+            cells[i] = Some(done);
+        }
+        cells
+            .into_iter()
+            .map(|cell| cell.expect("every cell is looked up or executed"))
             .collect()
     }
 

@@ -817,13 +817,13 @@ fn splice_runs(
     };
 
     PipelineRun {
-        result: FlowResult {
+        result: Arc::new(FlowResult {
             original,
             pipelined,
             fanout,
             buffers,
             report,
-        },
+        }),
         weighted: None,
         trace,
     }

@@ -55,6 +55,7 @@
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use serde::{object, DeError, Deserialize, Entries, Value};
 
@@ -577,7 +578,7 @@ fn run_from_value<E: From<DeError>>(
     let original = netlist(serde::field(result, "original")?)?;
     let pipelined = netlist(serde::field(result, "pipelined")?)?;
     Ok(PipelineRun {
-        result: FlowResult {
+        result: Arc::new(FlowResult {
             original,
             pipelined,
             fanout: opt_from(serde::field(result, "fanout")?, |f| {
@@ -622,7 +623,7 @@ fn run_from_value<E: From<DeError>>(
                     max_fanout: Deserialize::from_value(serde::field(fields, "max_fanout")?)?,
                 })
             })?,
-        },
+        }),
         weighted: opt_from(serde::field(fields, "weighted")?, |w| {
             let fields = serde::entries(w, "WeightedInsertion")?;
             Ok(WeightedInsertion {

@@ -452,8 +452,11 @@ impl FlowResult {
 #[derive(Clone, Debug)]
 pub struct PipelineRun {
     /// The unit-delay flow result: both netlists and the per-pass
-    /// statistics.
-    pub result: FlowResult,
+    /// statistics. Shared: under a cost-blind pipeline the
+    /// [`crate::Engine`] executes each circuit once and every technology
+    /// cell of that circuit holds the same result (only the traces'
+    /// priced deltas differ between them).
+    pub result: Arc<FlowResult>,
     /// Weighted-insertion statistics, when a weighted pass ran
     /// ([`FlowResult`] has no slot for them).
     pub weighted: Option<WeightedInsertion>,
@@ -604,10 +607,12 @@ impl FlowPipeline {
     }
 
     /// [`FlowPipeline::run`] priced against `model` — the per-cell entry
-    /// point of [`crate::Engine::run_pipeline_grid`] and of
-    /// [`crate::IncrementalSession`]. Every trace entry records priced
-    /// deltas, and cost-aware passes consult the model. `None` runs
-    /// cost-blind (no priced trace entries).
+    /// point of [`crate::IncrementalSession`] and the reference every
+    /// grid cell of [`crate::Engine`] is byte-identical to. Every trace
+    /// entry records priced deltas, and cost-aware passes consult the
+    /// model. `None` runs cost-blind (no priced trace entries). A thin
+    /// wrapper over the one pass loop the engine also drives to price a
+    /// single execution under several technologies.
     ///
     /// # Errors
     ///
@@ -617,8 +622,27 @@ impl FlowPipeline {
         graph: &Mig,
         model: Option<&CostTable>,
     ) -> Result<PipelineRun, PassError> {
+        let mut runs = self.run_priced(graph, model, model.as_slice())?;
+        Ok(runs.pop().expect("one run per price table"))
+    }
+
+    /// Executes the passes once, with `model` as the cost model the
+    /// cost-aware passes consult, and returns one run per table of
+    /// `price` (one unpriced run when `price` is empty). The runs share
+    /// one [`FlowResult`] and differ only in their traces' `priced`
+    /// deltas — what the engine's grid hands to every technology cell
+    /// of one circuit under a cost-blind pipeline.
+    pub(crate) fn run_priced(
+        &self,
+        graph: &Mig,
+        model: Option<&CostTable>,
+        price: &[&CostTable],
+    ) -> Result<Vec<PipelineRun>, PassError> {
         let mut ctx = FlowContext::new(graph, model.cloned());
         let mut trace = Vec::with_capacity(self.passes.len());
+        // Output counts around each pass, which `PassStats` has no slot
+        // for but pricing needs.
+        let mut outputs = Vec::with_capacity(self.passes.len());
         for pass in &self.passes {
             // Rewrite passes run before mapping, so their effect lives
             // in the working MIG, not the (still empty) netlist:
@@ -662,11 +686,7 @@ impl FlowPipeline {
                     ctx.try_depth()?,
                 )
             };
-            let priced = ctx.cost.as_ref().map(|table| PricedDelta {
-                model: table.name().to_owned(),
-                before: table.price(&counts_before, outputs_before, depth_before),
-                after: table.price(&counts_after, outputs_after, depth_after),
-            });
+            outputs.push((outputs_before, outputs_after));
             trace.push(PassStats {
                 pass: pass.name(),
                 micros,
@@ -675,7 +695,7 @@ impl FlowPipeline {
                 added: counts_after.added_since(&counts_before),
                 depth_before,
                 depth_after,
-                priced,
+                priced: None,
             });
 
             // Pre-map gate counterparts for rewrite passes: the working
@@ -797,17 +817,36 @@ impl FlowPipeline {
                 "mapping pass never installed a netlist (call FlowContext::set_mapped)".to_owned(),
             )
         })?;
-        Ok(PipelineRun {
-            result: FlowResult {
-                original,
-                pipelined: ctx.netlist,
-                fanout: ctx.fanout,
-                buffers: ctx.buffers,
-                report: ctx.report,
-            },
-            weighted: ctx.weighted,
+        let result = Arc::new(FlowResult {
+            original,
+            pipelined: ctx.netlist,
+            fanout: ctx.fanout,
+            buffers: ctx.buffers,
+            report: ctx.report,
+        });
+        let weighted = ctx.weighted;
+        let run = |trace| PipelineRun {
+            result: result.clone(),
+            weighted,
             trace,
-        })
+        };
+        if price.is_empty() {
+            return Ok(vec![run(trace)]);
+        }
+        Ok(price
+            .iter()
+            .map(|table| {
+                let mut trace = trace.clone();
+                for (stats, &(before, after)) in trace.iter_mut().zip(&outputs) {
+                    stats.priced = Some(PricedDelta {
+                        model: table.name().to_owned(),
+                        before: table.price(&stats.counts_before, before, stats.depth_before),
+                        after: table.price(&stats.counts_after, after, stats.depth_after),
+                    });
+                }
+                run(trace)
+            })
+            .collect())
     }
 }
 
@@ -1168,7 +1207,7 @@ mod tests {
         })
     }
 
-    fn run_spec(spec: PipelineSpec, g: &Mig) -> FlowResult {
+    fn run_spec(spec: PipelineSpec, g: &Mig) -> Arc<FlowResult> {
         spec.build().unwrap().run(g).unwrap().result
     }
 

@@ -120,7 +120,8 @@ pub struct ServeMetrics {
     pub cells_streamed: u64,
     /// Streaming cell events dropped on slow clients (shed mode).
     pub cells_shed: u64,
-    /// Client connections accepted.
+    /// Client connections accepted (not counting those refused beyond
+    /// [`crate::server::MAX_LIVE_CLIENTS`]).
     pub clients: u64,
     /// Engine counter snapshot (cumulative).
     pub engine: EngineStats,

@@ -2,7 +2,9 @@
 //!
 //! Threading model (`std` only — no async runtime):
 //!
-//! - one **acceptor** thread blocks on [`TcpListener::accept`];
+//! - one **acceptor** thread blocks on [`TcpListener::accept`], joins
+//!   the threads of connections that have ended, and refuses a
+//!   connection beyond [`MAX_LIVE_CLIENTS`] live ones;
 //! - each connection gets a **reader** thread (parses request lines,
 //!   enqueues jobs) and a **writer** thread (drains a bounded outbound
 //!   queue onto the socket);
@@ -47,6 +49,13 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
 /// gets an `error` event and the connection is closed, so no client can
 /// make the reader buffer without bound.
 pub const MAX_REQUEST_LINE: usize = 16 << 20;
+
+/// The most client connections the daemon serves at once. Each live
+/// connection holds a reader and a writer thread; the acceptor answers
+/// a connection beyond the bound with one `error` event and closes it,
+/// so a burst of clients cannot make the daemon spawn threads without
+/// bound. perfbench's closed loop holds one connection per core.
+pub const MAX_LIVE_CLIENTS: usize = 256;
 
 /// Daemon tuning knobs. Every field has a `WAVEPIPE_SERVE_*`
 /// environment override — see [`ServeConfig::from_env`].
@@ -188,6 +197,10 @@ struct Shared {
     metrics: Metrics,
     /// Client sockets by connection id, for the shutdown half-close.
     clients: Mutex<HashMap<u64, TcpStream>>,
+    /// Reader threads of live connections: the acceptor joins the
+    /// finished ones before it admits the next, so a long-lived daemon
+    /// keeps one handle per live connection, not one per connection it
+    /// ever accepted.
     client_threads: Mutex<Vec<JoinHandle<()>>>,
     next_client: AtomicU64,
     shutdown_requested: Mutex<bool>,
@@ -436,6 +449,21 @@ impl Shared {
     }
 }
 
+/// Answers a connection beyond the live bound with one `error` event
+/// and closes it. The write does not block: a fresh socket's send
+/// buffer holds the line, and a full one drops it rather than stall the
+/// acceptor.
+fn refuse(mut stream: TcpStream, max_clients: usize) {
+    let line = Event::Error {
+        id: 0,
+        message: format!("the server already serves {max_clients} connections; connection refused"),
+    }
+    .to_line();
+    if stream.set_nonblocking(true).is_ok() {
+        let _ = writeln!(stream, "{line}");
+    }
+}
+
 /// A running daemon. Dropping without [`Server::shutdown`] aborts the
 /// threads with the process; call `shutdown` for a graceful drain.
 pub struct Server {
@@ -447,7 +475,8 @@ pub struct Server {
 
 impl Server {
     /// Binds `addr` and starts the acceptor and worker pool over the
-    /// shared `engine`.
+    /// shared `engine`. At most [`MAX_LIVE_CLIENTS`] connections are
+    /// served at once.
     ///
     /// # Errors
     ///
@@ -456,6 +485,17 @@ impl Server {
         engine: Arc<Engine>,
         addr: impl ToSocketAddrs,
         config: ServeConfig,
+    ) -> io::Result<Server> {
+        Server::start_bounded(engine, addr, config, MAX_LIVE_CLIENTS)
+    }
+
+    /// [`Server::start`] with `max_clients` in place of
+    /// [`MAX_LIVE_CLIENTS`].
+    fn start_bounded(
+        engine: Arc<Engine>,
+        addr: impl ToSocketAddrs,
+        config: ServeConfig,
+        max_clients: usize,
     ) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
@@ -494,16 +534,30 @@ impl Server {
                         return; // woken by the shutdown dummy connect
                     }
                     let Ok(stream) = stream else { continue };
-                    shared.metrics.clients.fetch_add(1, Ordering::Relaxed);
-                    let client_id = shared.next_client.fetch_add(1, Ordering::Relaxed);
-                    if let Ok(clone) = stream.try_clone() {
-                        relock(&shared.clients).insert(client_id, clone);
+                    let mut threads = relock(&shared.client_threads);
+                    let finished: Vec<JoinHandle<()>> = threads
+                        .extract_if(.., |handle| handle.is_finished())
+                        .collect();
+                    if threads.len() < max_clients {
+                        shared.metrics.clients.fetch_add(1, Ordering::Relaxed);
+                        let client_id = shared.next_client.fetch_add(1, Ordering::Relaxed);
+                        if let Ok(clone) = stream.try_clone() {
+                            relock(&shared.clients).insert(client_id, clone);
+                        }
+                        let worker_shared = shared.clone();
+                        threads.push(std::thread::spawn(move || {
+                            worker_shared.serve_client(stream, client_id);
+                        }));
+                        drop(threads);
+                    } else {
+                        drop(threads);
+                        refuse(stream, max_clients);
                     }
-                    let worker_shared = shared.clone();
-                    let handle = std::thread::spawn(move || {
-                        worker_shared.serve_client(stream, client_id);
-                    });
-                    relock(&shared.client_threads).push(handle);
+                    // Joined once the new connection is served, so a
+                    // thread still on its way out never delays it.
+                    for handle in finished {
+                        let _ = handle.join();
+                    }
                 }
             })
         };
@@ -685,6 +739,83 @@ mod tests {
         }
         assert_eq!(terminal, 1);
         assert!(acked_shutdown);
+    }
+
+    /// Pings over a fresh connection; `None` when the server refused it
+    /// (its error line, or a reset when the ping raced the close).
+    fn ping(server: &Server) -> Option<Client> {
+        let mut client = Client::connect(server.local_addr()).expect("connect");
+        client
+            .send(&Request::Control {
+                id: 1,
+                control: Control::Ping,
+            })
+            .ok()?;
+        match client.read_event().ok()? {
+            Event::Pong { id: 1 } => Some(client),
+            Event::Error { id: 0, .. } => None,
+            other => panic!("expected pong or refusal, got {other:?}"),
+        }
+    }
+
+    /// Retried while closed connections' threads are still exiting:
+    /// after one more accept, the acceptor holds exactly one handle per
+    /// live connection.
+    fn assert_handles_match_live(server: &Server, open: usize) {
+        for _ in 0..500 {
+            let probe = ping(server);
+            let retained = relock(&server.shared.client_threads).len();
+            let live = relock(&server.shared.clients).len();
+            if probe.is_some() && retained == live && live == open + 1 {
+                return;
+            }
+            drop(probe);
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        panic!("retained client threads never matched the live connections");
+    }
+
+    #[test]
+    fn closed_connections_release_their_threads() {
+        let server = start_server();
+        // One at a time: never more than one test connection is open.
+        for _ in 0..300 {
+            assert!(ping(&server).is_some(), "under the bound");
+        }
+        assert_handles_match_live(&server, 0);
+        server.shutdown();
+    }
+
+    #[test]
+    fn connections_beyond_the_live_bound_are_refused_with_an_error() {
+        let engine = Arc::new(Engine::new());
+        let config = ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        };
+        let server = Server::start_bounded(engine, "127.0.0.1:0", config, 2).expect("bind");
+        let first = ping(&server).expect("first connection served");
+        let second = ping(&server).expect("second connection served");
+        // The third sends nothing, so it reads the whole refusal.
+        let mut third = Client::connect(server.local_addr()).expect("connect");
+        match third.read_event().expect("refusal line") {
+            Event::Error { id: 0, message } => {
+                assert!(message.contains("connection refused"), "{message}")
+            }
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+        assert!(third.read_event_eof().expect("clean close").is_none());
+        assert_eq!(
+            server.metrics().clients,
+            2,
+            "a refused connection is not counted"
+        );
+        drop(first);
+        // Its reader thread exits shortly after the close; then a new
+        // connection is served again.
+        assert_handles_match_live(&server, 1);
+        drop(second);
+        server.shutdown();
     }
 
     #[test]

@@ -172,15 +172,16 @@ pub fn compare_with_table(result: &FlowResult, table: &CostTable) -> Comparison 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use wavepipe::{FlowResult, PipelineSpec};
 
     /// The paper's flow (FO3 + BUF + verify) on `g`.
-    fn paper_flow(g: &mig::Mig) -> FlowResult {
+    fn paper_flow(g: &mig::Mig) -> Arc<FlowResult> {
         let pipeline = PipelineSpec::default().build().unwrap();
         pipeline.run(g).unwrap().result
     }
 
-    fn flow_sample(seed: u64) -> FlowResult {
+    fn flow_sample(seed: u64) -> Arc<FlowResult> {
         let g = mig::random_mig(mig::RandomMigConfig {
             inputs: 12,
             outputs: 6,

@@ -2,6 +2,8 @@
 //! mapping → fan-out restriction → buffer insertion → verification →
 //! wave streaming, across the benchmark suite.
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use wave_pipelining::prelude::*;
@@ -14,7 +16,7 @@ const SMALL: [&str; 10] = [
 ];
 
 /// Runs `spec` on `g`: the flow result of a verified run.
-fn run(spec: &PipelineSpec, g: &Mig) -> FlowResult {
+fn run(spec: &PipelineSpec, g: &Mig) -> Arc<FlowResult> {
     let pipeline = spec.build().expect("well-ordered spec");
     pipeline.run(g).expect("flow verifies").result
 }

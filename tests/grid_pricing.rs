@@ -3,6 +3,8 @@
 //! per-pass priced deltas must be invariant under every pass reordering
 //! the pipeline builder permits.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use tech::{compare, evaluate, OperatingMode, Technology};
 use wavepipe::{
@@ -12,7 +14,7 @@ use wavepipe::{
 use wavepipe_bench::harness::{build_suite, engine, evaluate_suite_grid, QUICK_SUBSET};
 
 /// A cost-blind run of the paper's flow, the post-hoc pricing input.
-fn blind_flow(g: &mig::Mig) -> FlowResult {
+fn blind_flow(g: &mig::Mig) -> Arc<FlowResult> {
     let pipeline = PipelineSpec::default().build().expect("well-ordered");
     pipeline.run(g).expect("cost-blind flow verifies").result
 }

@@ -3,6 +3,8 @@
 //! insertion balances, both preserve function, and the balanced result
 //! streams waves coherently.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use wave_pipelining::prelude::*;
 use wavepipe::{
@@ -46,7 +48,7 @@ fn nested_fanout(n: &Netlist) -> Vec<Vec<(wavepipe::CompId, u32)>> {
 }
 
 /// Runs `spec` on `g`: the flow result of a verified run.
-fn run(spec: &PipelineSpec, g: &mig::Mig) -> FlowResult {
+fn run(spec: &PipelineSpec, g: &mig::Mig) -> Arc<FlowResult> {
     let pipeline = spec.build().expect("well-ordered spec");
     pipeline.run(g).expect("flow verifies on any input").result
 }
@@ -80,7 +82,7 @@ proptest! {
             .restrict_fanout(limit)
             .insert_buffers(BufferStrategy::Asap)
             .verify(Some(limit));
-        let pipelined = run(&spec, &g).pipelined;
+        let pipelined = run(&spec, &g).pipelined.clone();
         for n in [&mapped, &restricted, &pipelined] {
             let (flat, nested) = (n.fanout_edges(), nested_fanout(n));
             prop_assert_eq!(flat.len(), nested.len());
